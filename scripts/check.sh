@@ -29,8 +29,5 @@ python -m pytest -q -m chaos_smoke
 echo "== batch smoke: lane-vs-scalar byte-identity canary =="
 python -m pytest -q -m batch_smoke
 
-echo "== tier-1 under REPRO_NO_BATCH=1: scalar-path parity =="
-REPRO_NO_BATCH=1 python -m pytest -x -q
-
 echo "== tier-1-adjacent: perf gate =="
 python -m repro.perf --check --quick --out /tmp/BENCH_perf_check.json

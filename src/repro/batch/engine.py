@@ -5,27 +5,27 @@ legs whose trajectories are deterministic functions of their injection
 schedules alone: same app, same environment, zero fading, no corruption.
 Until a leg's schedule actually fires, its trajectory is *identical* to
 the fault-free one — so instead of stepping N interpreter loops, the
-engine packs the group into lanes and drives one shared **leader**
-device fault-free through the existing three-tier dispatch.  One decoded
-block, one superblock trace, one closed-form energy evaluation per spend
-serves every lane still in the batch.
+engine treats the group's legs as lanes and drives one shared **leader**
+device fault-free through the existing three-tier dispatch.  Every lane
+still in the batch reuses the leader's trajectory: memoisation, not
+vectorisation.
 
 At every boot boundary (an organic brown-out parks the leader via a
 ``PowerSystem.on_power_change`` hook) the engine compares the boundary's
-work count against all lanes' schedules in one vectorized NumPy mask.
-Lanes whose schedule fired inside the boot just finished are **peeled**:
-they re-enter the scalar path from the snapshot taken when that boot
-began, with their real injector installed and its progress counters
-synthesized from the recorder state — bit-identical to a from-reset run
-arriving at the same boundary.  Lanes whose schedules never fire are
-**clones**: their observation *is* the leader's, by construction.
+work count against every live lane's schedule.  Lanes whose schedule
+fired inside the boot just finished are **peeled**: they re-enter the
+scalar path by restoring the snapshot taken when that boot began, with
+their real injector installed and its progress counters synthesized
+from the recorder state — bit-identical to a from-reset run arriving at
+the same boundary.  Lanes whose schedules never fire are **clones**:
+their observation *is* the leader's, by construction.
 
 Peeling is always safe (the peeled leg replays exactly); only the clone
 claim needs proof, and it is airtight: a ``ScheduledBrownouts`` lane
 fires on boot ``b`` iff its entry ``S[b]`` is reached, i.e. iff
 ``S[b] <= ops(b)``; a ``CommitBoundaryTrigger`` lane fires iff its first
 count is reached by the cumulative FRAM write tally.  The engine peels
-on exactly those conditions (evaluated per boundary over the lane axis),
+on exactly those conditions (evaluated per boundary over the live lanes),
 so a lane left in the batch provably never fired.
 
 Everything here honours the campaign's byte-identical report contract:
@@ -36,9 +36,6 @@ violation of the zero-RNG honesty invariant makes the engine return
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.batch import batching_enabled
 from repro.campaign.faults import (
     CommitBoundaryTrigger,
     FaultPlan,
@@ -63,60 +60,55 @@ from repro.testing import make_fast_target, time_limit
 
 _BOUNDARY = "lane-boundary"
 
-#: Schedule padding: larger than any op count or write tally a run can
-#: accumulate, so a padded column never satisfies a fire condition.
+#: First commit count of a lane with an empty commit schedule: larger
+#: than any write tally a run can accumulate, so it never fires.
 _NEVER = 1 << 62
 
 
 class _LaneSchedules:
-    """The group's injection schedules as NumPy arrays plus fire masks."""
+    """The group's injection schedules and the lanes still in the batch."""
 
     def __init__(self, pending: list[tuple[int, int, FaultPlan]], mode: str):
         self.mode = mode
-        self.alive = np.ones(len(pending), dtype=bool)
+        self.live = set(range(len(pending)))
         if mode == "op_index":
-            schedules = [_schedule_of(plan) for _, _, plan in pending]
-            self.lengths = np.array([len(s) for s in schedules], dtype=np.int64)
-            self.columns = int(self.lengths.max()) if len(schedules) else 0
-            self.ops = np.full(
-                (len(pending), self.columns), _NEVER, dtype=np.int64
-            )
-            for i, schedule in enumerate(schedules):
-                self.ops[i, : len(schedule)] = schedule
+            self.ops = [_schedule_of(plan) for _, _, plan in pending]
         else:
-            self.first_commit = np.array(
-                [
-                    plan.commit_counts[0] if plan.commit_counts else _NEVER
-                    for _, _, plan in pending
-                ],
-                dtype=np.int64,
-            )
+            self.first_commit = [
+                plan.commit_counts[0] if plan.commit_counts else _NEVER
+                for _, _, plan in pending
+            ]
 
-    def fired(self, boot: int, boot_ops: int, writes_seen: int) -> np.ndarray:
-        """Lane indices whose schedule fired inside the boot just run.
+    def fired(self, boot: int, boot_ops: int, writes_seen: int) -> list[int]:
+        """Live lane indices whose schedule fired inside the boot just run.
 
         ``boot``/``boot_ops`` locate the boundary on the op-index axis
         (the boot's index and its completed work units); ``writes_seen``
         is the cumulative FRAM write tally for the commit axis.  A
         scheduled brown-out at entry ``S[boot]`` fires iff the boot's op
         counter reached it (``S[boot] <= boot_ops``); a commit trigger
-        fires iff the write tally reached its first count.
+        fires iff the write tally reached its first count.  Fired lanes
+        leave the batch.
         """
         if self.mode == "op_index":
-            if boot >= self.columns:
-                return np.empty(0, dtype=np.int64)
-            mask = self.alive & (self.ops[:, boot] <= boot_ops)
+            lanes = sorted(
+                lane for lane in self.live
+                if boot < len(self.ops[lane])
+                and self.ops[lane][boot] <= boot_ops
+            )
         else:
-            mask = self.alive & (self.first_commit <= writes_seen)
-        lanes = np.nonzero(mask)[0]
-        self.alive[mask] = False
+            lanes = sorted(
+                lane for lane in self.live
+                if self.first_commit[lane] <= writes_seen
+            )
+        self.live.difference_update(lanes)
         return lanes
 
     def future_fire_possible(self, next_boot: int) -> bool:
         """Whether any live lane can still fire at boot ``next_boot`` on."""
         if self.mode == "op_index":
-            return bool(np.any(self.lengths[self.alive] > next_boot))
-        return bool(np.any(self.alive))
+            return any(len(self.ops[lane]) > next_boot for lane in self.live)
+        return bool(self.live)
 
 
 def execute_batch_group(
@@ -125,7 +117,7 @@ def execute_batch_group(
     """Execute one fork-eligible group through the lane engine.
 
     Returns a record per member index, or ``None`` when the group should
-    fall back to the scalar paths (batching killed, leader failure,
+    fall back to the scalar paths (unsupported group, leader failure,
     wall-clock budget trip, honesty violation).  The records are
     byte-identical to what ``forking._execute_group`` produces — that is
     the whole contract, pinned by the differential suite in
@@ -133,7 +125,7 @@ def execute_batch_group(
     """
     from repro.campaign.runner import _harvest_tier_stats, note_lane_stats
 
-    if len(members) < 2 or not batching_enabled():
+    if len(members) < 2:
         return None
     if hasattr(adapter, "prepare"):
         return None
@@ -221,7 +213,7 @@ def execute_batch_group(
                 return  # provably no live schedule extends this far
             boot, boot_ops, writes = boundary()
             for lane in lanes.fired(boot, boot_ops, writes):
-                peel[int(lane)] = node
+                peel[lane] = node
 
         # -- the leader run: fault-free, parked at every brown-out
         try:
@@ -239,7 +231,7 @@ def execute_batch_group(
                     sim.clear_stop()
                     batch_spans += 1
                     check_boundary()
-                    if not bool(np.any(lanes.alive)):
+                    if not lanes.live:
                         break  # every lane peeled; the leader is moot
                     boot, _, _ = boundary()
                     if lanes.future_fire_possible(boot + 1):
@@ -255,7 +247,7 @@ def execute_batch_group(
             # pause request pending past the terminal segment.
             sim.clear_stop()
 
-        clones = bool(np.any(lanes.alive))
+        clones = bool(lanes.live)
         if clones:
             detail_str = None if detail is None else str(detail)
             if status is RunStatus.NONTERMINATING and "wall-clock" in (
@@ -268,7 +260,7 @@ def execute_batch_group(
             # terminal charge phase the recorder still holds the
             # previous boot's column, whose fired lanes are gone).
             check_boundary()
-            clones = bool(np.any(lanes.alive))
+            clones = bool(lanes.live)
         if clones:
             leader_observation = Observation(
                 status=status.value,
@@ -287,22 +279,11 @@ def execute_batch_group(
         # the leader's tallies before the first restore.
         _harvest_tier_stats(target)
 
-        # -- seed the peeled lanes: one broadcast per shared node
-        by_node: dict[int, list[int]] = {}
-        for lane, lane_node in peel.items():
-            by_node.setdefault(id(lane_node), []).append(lane)
-        seeds: dict[int, object] = {}
-        for lane_group in by_node.values():
-            lane_node = peel[lane_group[0]]
-            buffer = lane_node[0].broadcast(len(lane_group))
-            for j, lane in enumerate(lane_group):
-                seeds[lane] = buffer.unpack(j)
-
         def replay(lane: int, plan: FaultPlan) -> tuple[Observation, list, int]:
             snap, inj_state, rec_state, prog_state, node_boots = peel[lane]
-            # restore() re-verifies the snapshot CRC, so every lane seed
-            # proves the NumPy pack/unpack round trip bit-for-bit.
-            restore(target, seeds[lane], tracker)
+            # Lanes peeled at one boundary share its snapshot; restore()
+            # re-verifies its CRC before touching the device.
+            restore(target, snap, tracker)
             recorder.restore_state(rec_state)
             _restore_program_state(program, prog_state)
             if mode == "commit_boundary":

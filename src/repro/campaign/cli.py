@@ -127,13 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
     batch = parser.add_mutually_exclusive_group()
     batch.add_argument("--batch", dest="batch", action="store_true",
                        default=True,
-                       help="pack embarrassingly-similar legs into NumPy "
-                            "lanes and step them lock-step (default; "
-                            "reports are byte-identical either way)")
+                       help="let one fault-free leader leg serve groups "
+                            "of legs that differ only in when their fault "
+                            "fires (default; reports are byte-identical "
+                            "either way)")
     batch.add_argument("--no-batch", dest="batch", action="store_false",
-                       help="run every leg through the scalar path "
-                            "(also forced by REPRO_NO_BATCH=1 or a "
-                            "missing numpy)")
+                       help="run every leg through the scalar path")
     parser.add_argument("--out", default="campaign_report.json",
                         help="report path (default: %(default)s)")
     parser.add_argument("--quiet", action="store_true",

@@ -415,9 +415,9 @@ def execute_chunk(
 
     The snapshot-mode worker entry point.  Runs whose plans are
     fork-eligible and share a group key execute through the lane engine
-    (``batch`` on, NumPy present) or one :class:`ForkSession`;
-    everything else (and every fallback) goes through the legacy
-    supervised runner, so the records are byte-identical either way.
+    (``batch`` on) or one :class:`ForkSession`; everything else (and
+    every fallback) goes through the legacy supervised runner, so the
+    records are byte-identical either way.
     ``batch`` is an execution-only switch like ``snapshot`` — it never
     enters the config or the report.
     """
@@ -437,19 +437,14 @@ def execute_chunk(
         groups.setdefault(
             key if key is not None else ("solo", index), []
         ).append((index, run_seed, plan))
-    use_batch = batch
-    if use_batch:
-        from repro.batch import batching_enabled
-
-        use_batch = batching_enabled()
     records: dict[int, dict] = {}
     for members in groups.values():
         if len(members) < 2:
             for index, _, _ in members:
                 records[index] = execute_run_safe(config, index, snapshot=True)
             continue
-        if use_batch:
-            from repro.batch.engine import execute_batch_group  # needs numpy
+        if batch:
+            from repro.batch.engine import execute_batch_group  # deferred: no cycle
 
             batched = execute_batch_group(config, adapter, members)
             if batched is not None:

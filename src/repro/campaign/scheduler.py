@@ -84,7 +84,7 @@ def _chunk_worker(
     (:func:`repro.campaign.forking.execute_chunk`), which shares work
     between runs whose fault plans allow it and produces byte-identical
     records either way; ``batch`` additionally routes fork-eligible
-    groups through the NumPy lane engine (:mod:`repro.batch.engine`).
+    groups through the lane engine (:mod:`repro.batch.engine`).
     Both are execution-only parameters — never part of the config dict,
     so reports and journals are unaffected by them.
 
@@ -486,9 +486,9 @@ def run_campaign(
     keyword here rather than a :class:`CampaignConfig` field.
 
     ``batch`` (default on) additionally routes fork-eligible groups
-    through the NumPy lane engine (:mod:`repro.batch`); it is gated the
-    same way (execution-only, byte-identical on/off/``REPRO_NO_BATCH``)
-    and is inert when NumPy is unavailable or ``snapshot`` is off.
+    through the lane engine (:mod:`repro.batch`); it is gated the same
+    way (execution-only, byte-identical on/off) and is inert when
+    ``snapshot`` is off.
 
     ``stats`` (optional) is a plain dict the campaign folds its
     aggregated tier/lane execution counters into — both this process's

@@ -94,46 +94,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _git_revision() -> str:
-    """The working tree's commit hash, or 'unknown' outside a checkout."""
+def _git(*args: str) -> str | None:
+    """A git command's stripped output in this checkout, or None."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             capture_output=True, text=True, timeout=10,
             cwd=Path(__file__).resolve().parent,
         )
     except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    revision = out.stdout.strip()
-    return revision if out.returncode == 0 and revision else "unknown"
-
-
-def _numpy_version() -> str | None:
-    """The installed numpy version, or None when the import fails."""
-    try:
-        import numpy
-    except Exception:
         return None
-    return numpy.__version__
+    return out.stdout.strip() if out.returncode == 0 else None
 
 
 def _host_stanza() -> dict:
-    """Provenance for BENCH_* trajectory comparisons across machines."""
-    from repro.batch import batching_enabled
+    """Provenance for BENCH_* trajectory comparisons across machines.
 
+    ``git_dirty`` says whether tracked files differed from
+    ``git_revision`` when the numbers were taken (None outside a
+    checkout), so a result measured on uncommitted edits is not
+    mistaken for one of the named revision.
+    """
+    status = _git("status", "--porcelain", "--untracked-files=no")
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "git_revision": _git_revision(),
-        "numpy": _numpy_version(),
+        "git_revision": _git("rev-parse", "HEAD") or "unknown",
+        "git_dirty": None if status is None else bool(status),
         "block_cache": os.environ.get("REPRO_NO_BLOCKCACHE", "") in ("", "0"),
         "superblock": (
             os.environ.get("REPRO_NO_BLOCKCACHE", "") in ("", "0")
             and os.environ.get("REPRO_NO_SUPERBLOCK", "") in ("", "0")
         ),
         "force_deopt": os.environ.get("REPRO_FORCE_DEOPT", "") not in ("", "0"),
-        "batch": batching_enabled(),
     }
 
 

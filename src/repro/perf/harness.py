@@ -20,7 +20,7 @@ the profile that motivated the PR-2 hot-path work:
   gets real prefix groups to share (the best case the ``campaign``
   benchmark's randomized environments never produce);
 - ``campaign_opsweep`` — a fixed-environment op-index sweep where the
-  whole chunk forms one lane group for the NumPy batch engine: one
+  whole chunk forms one lane group for the lane engine: one
   fault-free leader is shared, never-firing schedules become clones,
   firing schedules peel to the scalar path (the speedup over
   ``--no-batch`` lands in ``detail``);

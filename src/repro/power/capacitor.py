@@ -60,52 +60,6 @@ def closed_form_step(
     return out
 
 
-def closed_form_step_lanes(
-    v,
-    dt: float,
-    voc: float,
-    v_inf: float,
-    exp_charge: float,
-    net: float,
-    capacitance: float,
-    max_voltage: float,
-    leak_factor: float | None,
-):
-    """Vectorized twin of :func:`closed_form_step` across a lane axis.
-
-    ``v`` is a NumPy array of per-lane terminal voltages; every other
-    parameter is the same scalar constant the scalar form takes — in
-    particular the exponentials arrive *precomputed* (one ``math.exp``
-    serves the whole batch), because ``np.exp`` is not guaranteed to
-    round identically to ``math.exp`` and the lane engine's contract is
-    bit-identity with the scalar trajectory.  The body uses only
-    IEEE-exact elementwise operations (add, multiply, divide, compare,
-    select) arranged in the scalar form's exact expression shapes and
-    operand order, so evaluating a lane through this function yields
-    the same 64-bit float the scalar form computes for that lane's
-    voltage.  The equivalence is pinned bit-for-bit by the lane-vs-
-    scalar differential property suite in ``tests/test_batch.py``.
-    """
-    import numpy as np
-
-    v = np.asarray(v, dtype=np.float64)
-    charged = v_inf + (v - v_inf) * exp_charge
-    drained = v - net * dt / capacitance
-    new_v = np.where(voc > v, charged, drained)
-    out = np.where(
-        new_v < 0.0, 0.0, np.where(new_v > max_voltage, max_voltage, new_v)
-    )
-    if leak_factor is not None:
-        leaked = out * leak_factor
-        leaked = np.where(
-            leaked < 0.0,
-            0.0,
-            np.where(leaked > max_voltage, max_voltage, leaked),
-        )
-        out = np.where(out > 0.0, leaked, out)
-    return out
-
-
 class StorageCapacitor:
     """An ideal capacitor with optional self-leakage.
 

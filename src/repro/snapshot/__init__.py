@@ -226,31 +226,6 @@ class DeviceSnapshot:
         "integrity",
     )
 
-    @staticmethod
-    def pack(snapshots):
-        """Pack snapshots into a :class:`repro.batch.lanes.LaneBuffer`.
-
-        Struct-of-arrays across the lane axis: registers, memory pages,
-        capacitor voltage, clock, and RNG cursors become NumPy arrays;
-        everything else is carried per lane by reference.  Requires
-        NumPy (the lane engine gates on ``batch.numpy_available``).
-        """
-        from repro.batch.lanes import LaneBuffer  # deferred: needs numpy
-
-        return LaneBuffer.from_snapshots(snapshots)
-
-    def broadcast(self, lanes: int):
-        """Spread this snapshot across ``lanes`` zero-copy lanes.
-
-        How a ForkSession-style shared prefix seeds a whole batch in one
-        restore: the buffer's ``unpack`` rebuilds per-lane snapshots
-        that carry this snapshot's integrity checksum, so each restore
-        re-verifies the pack/unpack round trip bit for bit.
-        """
-        from repro.batch.lanes import LaneBuffer  # deferred: needs numpy
-
-        return LaneBuffer.broadcast(self, lanes)
-
 
 def _capture_source_attrs(source: Any) -> tuple[tuple[str, Any], ...]:
     attrs = []

@@ -1,29 +1,27 @@
 """Lane engine (``repro.batch``): lane-vs-scalar bit-identity properties.
 
 The batch engine's contract is that it is *invisible* in the records: a
-campaign produces byte-identical reports with batching on, off, or
-killed via ``REPRO_NO_BATCH=1``.  The tests here pin that contract at
-every layer — the vectorized energy twin against the scalar closed
-form, the struct-of-arrays snapshot packing against ``DeviceSnapshot``
-round trips, and the leader/peel/clone engine against the scalar fork
-group on every divergence class the engine can meet (fault-schedule
-hits, organic mid-run brown-outs, commit-boundary writes, never-firing
-sweeps).
+campaign produces byte-identical reports with batching on or off.  The
+tests here pin that contract for the leader/peel/clone engine against
+the scalar fork group on every divergence class the engine can meet
+(fault-schedule hits, organic mid-run brown-outs, commit-boundary
+writes, never-firing sweeps), and pin that the engine needs no
+optional package.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.batch import batching_enabled
 from repro.batch.engine import execute_batch_group
-from repro.batch.lanes import LaneBuffer
 from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
 from repro.campaign.faults import plan_faults
@@ -31,133 +29,11 @@ from repro.campaign.forking import _execute_group
 from repro.campaign.runner import tier_stats_delta, tier_stats_snapshot
 from repro.campaign.scheduler import run_campaign
 from repro.mcu.memory import FRAM_BASE, FRAM_SIZE
-from repro.power.capacitor import closed_form_step, closed_form_step_lanes
 from repro.runtime.checkpoint import fletcher16
-from repro.sim.kernel import Simulator
 from repro.sim.rng import derive_seed
-from repro.snapshot import DirtyTracker, capture, restore
-from repro.testing import make_fast_target
-
-
-# -- the vectorized energy twin --------------------------------------------
-def test_closed_form_step_lanes_bit_exact_vs_scalar():
-    """Every lane of the vectorized step equals the scalar step exactly.
-
-    Bit-for-bit (``==`` on floats), not approximately: the engine's
-    byte-identity contract rides on the capacitor trajectories being
-    indistinguishable from the scalar path.
-    """
-    import math
-
-    rng = random.Random(9001)
-    for leak in (None, 0.997):
-        for _ in range(200):
-            v = [rng.uniform(0.0, 3.3) for _ in range(17)]
-            dt = rng.uniform(1e-7, 5e-3)
-            voc = rng.uniform(0.0, 3.3)
-            rs = rng.uniform(100.0, 5000.0)
-            net = rng.uniform(-2e-3, 2e-3)
-            cap = rng.uniform(1e-6, 1e-4)
-            v_inf = voc - net * rs
-            exp_charge = math.exp(-dt / (rs * cap))
-            out = closed_form_step_lanes(
-                np.array(v), dt, voc, v_inf, exp_charge, net, cap, 3.3, leak
-            )
-            for lane, v0 in enumerate(v):
-                want = closed_form_step(
-                    v0, dt, voc, v_inf, exp_charge, net, cap, 3.3, leak
-                )
-                assert float(out[lane]) == want
-
-
-def test_closed_form_step_lanes_clamps_like_scalar():
-    """Clamp edges (floor 0, ceiling max_voltage) match the scalar form."""
-    import math
-
-    dt, voc, rs, cap = 1e-3, 3.3, 1000.0, 4.7e-6
-    exp_charge = math.exp(-dt / (rs * cap))
-    # A huge drain drives below zero; a huge charge drives above max.
-    for net, v in ((5.0, 0.5), (-5.0, 3.2)):
-        v_inf = voc - net * rs
-        out = closed_form_step_lanes(
-            np.array([v]), dt, voc, v_inf, exp_charge, net, cap, 3.3, None
-        )
-        want = closed_form_step(
-            v, dt, voc, v_inf, exp_charge, net, cap, 3.3, None
-        )
-        assert float(out[0]) == want
-
-
-# -- struct-of-arrays snapshot packing -------------------------------------
-def _snapshot_after(seed: int, cycles: int):
-    """A (target, tracker, snapshot) triple after some real execution."""
-    sim = Simulator(seed=seed)
-    sim.trace.enabled = False
-    target = make_fast_target(sim, distance_m=1.6, fading_sigma=0.0)
-    tracker = DirtyTracker(target.memory)
-    target.power.charge_until_on()
-    target.execute_cycles(cycles)
-    return target, tracker, capture(target, tracker)
-
-
-def test_lane_buffer_round_trip_is_bit_exact():
-    """pack -> unpack returns snapshots equal in every slot.
-
-    Registers, memory bytes, capacitor voltage, clock, and the Mersenne
-    RNG words all survive the NumPy round trip; ``restore`` then accepts
-    the unpacked snapshot, which re-verifies its integrity CRC.
-    """
-    snaps = [_snapshot_after(seed, 600)[2] for seed in (1, 2, 3)]
-    buffer = LaneBuffer.from_snapshots(snaps)
-    for lane, original in enumerate(snaps):
-        back = buffer.unpack(lane)
-        assert back.cpu_registers == original.cpu_registers
-        assert back.memory_pages == original.memory_pages
-        assert back.cap_voltage == original.cap_voltage
-        assert back.sim_now == original.sim_now
-        assert back.rng_states == original.rng_states
-        assert back.integrity == original.integrity
-    # The unpacked snapshot restores onto a live device (CRC gate).
-    target, tracker, snap = _snapshot_after(7, 600)
-    clone = LaneBuffer.from_snapshots([snap]).unpack(0)
-    target.execute_cycles(128)  # diverge, then roll back
-    restore(target, clone, tracker)
-    assert capture(target, tracker).cpu_registers == snap.cpu_registers
-
-
-def test_lane_buffer_broadcast_shares_one_snapshot():
-    """broadcast(snap, n) unpacks n bit-identical copies of one prefix."""
-    _, _, snap = _snapshot_after(5, 400)
-    buffer = snap.broadcast(4)
-    for lane in range(4):
-        back = buffer.unpack(lane)
-        assert back.memory_pages == snap.memory_pages
-        assert back.cpu_registers == snap.cpu_registers
-        assert back.rng_states == snap.rng_states
-
-
-def test_lane_buffer_rejects_mismatched_topology():
-    _, _, a = _snapshot_after(1, 300)
-    b = dataclasses.replace  # not a dataclass; mutate a copy instead
-    b = LaneBuffer.from_snapshots([a]).unpack(0)
-    b.cpu_registers = a.cpu_registers[:-1]
-    with pytest.raises(ValueError):
-        LaneBuffer.from_snapshots([a, b])
 
 
 # -- the leader/peel/clone engine vs the scalar fork group -----------------
-@pytest.fixture
-def batch_on(monkeypatch):
-    """Force the lane engine live even under an ambient REPRO_NO_BATCH.
-
-    The differential tests compare the engine *against* the scalar
-    path, so running them with batching killed would compare the scalar
-    path to itself; CI's ``REPRO_NO_BATCH=1`` tier-1 pass still
-    exercises this file's scalar-only tests.
-    """
-    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
-
-
 class ChecksumAdapter:
     """rfid_firmware with FRAM checksums folded into every observation.
 
@@ -237,7 +113,7 @@ def _opsweep_config(**overrides) -> CampaignConfig:
     return CampaignConfig(**base)
 
 
-def test_differential_fault_schedule_peel(batch_on):
+def test_differential_fault_schedule_peel():
     """Schedules that fire mid-run peel; records still match bit-for-bit.
 
     Low op indices guarantee every lane's injection lands inside the
@@ -250,7 +126,7 @@ def test_differential_fault_schedule_peel(batch_on):
     assert lanes["lanes_peeled"] > 0
 
 
-def test_differential_never_firing_sweep_clones(batch_on):
+def test_differential_never_firing_sweep_clones():
     """Schedules sweeping past the executed window clone the leader."""
     lanes = _differential(
         _opsweep_config(min_ops=20_000, max_ops=90_000)
@@ -259,7 +135,7 @@ def test_differential_never_firing_sweep_clones(batch_on):
     assert lanes["lanes_peeled"] == 0  # pure clones
 
 
-def test_differential_organic_brownout_spans(batch_on):
+def test_differential_organic_brownout_spans():
     """Mid-block organic brown-outs pause the leader at lane boundaries.
 
     A heavy workload at a marginal distance drains the capacitor
@@ -277,14 +153,14 @@ def test_differential_organic_brownout_spans(batch_on):
     assert lanes["batch_spans"] > 0
 
 
-def test_differential_duty_cycle_group(batch_on):
+def test_differential_duty_cycle_group():
     """Lanes sharing a duty-cycled environment stay bit-identical."""
     _differential(
         _opsweep_config(min_ops=50, max_ops=2_000), duty=(0.008, 0.6)
     )
 
 
-def test_differential_commit_boundary_writes(batch_on):
+def test_differential_commit_boundary_writes():
     """commit_boundary mode: the write counter drives peel decisions."""
     lanes = _differential(
         _opsweep_config(modes=("commit_boundary",), min_ops=5, max_ops=400)
@@ -292,7 +168,7 @@ def test_differential_commit_boundary_writes(batch_on):
     assert lanes["lanes_packed"] == 6
 
 
-def test_differential_self_modifying_shared_block(batch_on):
+def test_differential_self_modifying_shared_block():
     """The ISA firmware writes FRAM the translated blocks read.
 
     rfid_firmware's counters live in FRAM inside the translated
@@ -311,40 +187,64 @@ def test_differential_self_modifying_shared_block(batch_on):
 
 # -- campaign-level byte identity ------------------------------------------
 @pytest.mark.batch_smoke
-def test_campaign_report_identical_batch_on_off_killed(monkeypatch):
-    """One campaign, three execution modes, one set of report bytes."""
+def test_campaign_report_identical_batch_on_off_from_reset():
+    """One campaign, three execution paths, one set of report bytes."""
     config = CampaignConfig(
         app="rfid_firmware", runs=8, seed=2468, workers=1,
         duration=0.4, modes=("op_index", "commit_boundary"),
         distance_range=(1.8, 1.8), fading_range=(0.0, 0.0),
         duty_chance=0.0, shrink=False,
     )
-    stats = {}
-    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+    on_stats, off_stats = {}, {}
     on = json.dumps(
-        run_campaign(config, batch=True, stats=stats), sort_keys=True
+        run_campaign(config, batch=True, stats=on_stats), sort_keys=True
     )
-    off = json.dumps(run_campaign(config, batch=False), sort_keys=True)
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    killed_stats = {}
-    killed = json.dumps(
-        run_campaign(config, batch=True, stats=killed_stats), sort_keys=True
+    off = json.dumps(
+        run_campaign(config, batch=False, stats=off_stats), sort_keys=True
     )
-    assert on == off == killed
-    assert stats["lanes_packed"] > 0, "batch path never engaged"
-    assert killed_stats["lanes_packed"] == 0, "kill switch ignored"
+    from_reset = json.dumps(
+        run_campaign(config, snapshot=False, batch=False), sort_keys=True
+    )
+    assert on == off == from_reset
+    assert on_stats["lanes_packed"] > 0, "batch path never engaged"
+    assert off_stats["lanes_packed"] == 0, "batch=False still batched"
 
 
-def test_batching_disabled_by_env(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
-    assert batching_enabled()
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    assert not batching_enabled()
-    monkeypatch.setenv("REPRO_NO_BATCH", "0")
-    assert batching_enabled()
+_FRESH_OPSWEEP = """
+import json, sys
+from repro.campaign.config import CampaignConfig
+from repro.campaign.scheduler import run_campaign
+config = CampaignConfig(
+    app="rfid_firmware", runs=8, seed=777, workers=1, duration=0.4,
+    modes=("op_index",), distance_range=(2.0, 2.0),
+    fading_range=(0.0, 0.0), duty_chance=0.0, shrink=False,
+)
+stats = {}
+run_campaign(config, batch=True, stats=stats)
+print(json.dumps({"lanes_packed": stats["lanes_packed"],
+                  "numpy_imported": "numpy" in sys.modules}))
+"""
 
 
-def test_parallel_campaign_aggregates_worker_stats(batch_on):
+def test_batched_campaign_never_imports_numpy():
+    """A batched op-index campaign runs in a fresh interpreter sans NumPy.
+
+    The lane engine is plain Python, and nothing on the campaign path
+    imports NumPy to decide whether to batch.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_OPSWEEP],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["lanes_packed"] > 0
+    assert not result["numpy_imported"]
+
+
+def test_parallel_campaign_aggregates_worker_stats():
     """Pool workers' tier/lane tallies reach the stats sink.
 
     Until the chunk workers reported deltas, the CLI's tier summary was

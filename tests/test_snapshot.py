@@ -11,7 +11,6 @@ reports are byte-identical with snapshot forking on and off.
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -175,12 +174,6 @@ def test_differential_capture_equals_full_capture():
 
 
 @pytest.mark.perf_smoke
-@pytest.mark.skipif(
-    os.environ.get("REPRO_NO_BATCH", "") not in ("", "0"),
-    reason="campaign_opsweep measures the scalar path under "
-           "REPRO_NO_BATCH, which is not comparable to the batched "
-           "baseline the gate checks against",
-)
 def test_quick_perf_gate_smoke(tmp_path):
     """``python -m repro.perf --check --quick`` is wired and passes.
 
