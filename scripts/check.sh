@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repository check: the tier-1 test suite plus the quick perf gate.
+# Repository check: the tier-1 test suite, the smoke and differential
+# re-runs, the paper reproduction, plus the quick perf gate.
 #
 # Tier-1 (must stay green):     PYTHONPATH=src python -m pytest -x -q
 # Tier-1-adjacent (perf gate):  python -m repro.perf --check --quick
@@ -28,6 +29,16 @@ python -m pytest -q -m chaos_smoke
 
 echo "== batch smoke: lane-vs-scalar byte-identity canary =="
 python -m pytest -q -m batch_smoke
+
+echo "== block-cache differential under REPRO_FORCE_DEOPT=1 =="
+REPRO_FORCE_DEOPT=1 python -m pytest -q -m blockcache
+
+echo "== block-cache differential under REPRO_NO_BLOCKCACHE=1 =="
+REPRO_NO_BLOCKCACHE=1 python -m pytest -q -m blockcache
+
+echo "== paper reproduction: benchmarks/ suite, outputs byte-stable =="
+python -m pytest -q benchmarks
+git diff --exit-code -- benchmarks/out
 
 echo "== tier-1-adjacent: perf gate =="
 python -m repro.perf --check --quick --out /tmp/BENCH_perf_check.json

@@ -1,7 +1,7 @@
 """Lane-batched campaign execution: one leader leg serves a group of legs.
 
-The third rung of the campaign speed ladder (after snapshot/fork prefix
-sharing and the superblock/fast-forward dispatch tiers): campaign legs
+The top rung of the campaign speed ladder (above block dispatch and
+snapshot/fork prefix sharing): campaign legs
 that differ only in *when* their fault lands re-execute nearly identical
 trajectories, so the lane engine (:mod:`repro.batch.engine`) drives one
 shared fault-free *leader* trajectory on behalf of a whole fork-eligible

@@ -6,8 +6,8 @@ schedules alone: same app, same environment, zero fading, no corruption.
 Until a leg's schedule actually fires, its trajectory is *identical* to
 the fault-free one — so instead of stepping N interpreter loops, the
 engine treats the group's legs as lanes and drives one shared **leader**
-device fault-free through the existing three-tier dispatch.  Every lane
-still in the batch reuses the leader's trajectory: memoisation, not
+device fault-free through the ordinary block dispatch.  Every lane still
+in the batch reuses the leader's trajectory: memoisation, not
 vectorisation.
 
 At every boot boundary (an organic brown-out parks the leader via a

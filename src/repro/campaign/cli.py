@@ -195,12 +195,7 @@ def _print_summary(report: dict, config: CampaignConfig, elapsed: float,
         print(
             f"  tier: {tier['blocks_executed']} block dispatches "
             f"({tier['blocks_translated']} translated, "
-            f"{tier['blocks_deopts']} deopts), "
-            f"{tier['traces_executed']} trace runs "
-            f"({tier['traces_formed']} formed, "
-            f"{tier['trace_exits']} side exits), "
-            f"{tier['ff_spans']} fast-forward spans "
-            f"({tier['ff_spends']} spends)"
+            f"{tier['blocks_deopts']} deopts)"
         )
         if tier.get("lanes_packed"):
             print(

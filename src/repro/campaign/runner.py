@@ -44,20 +44,14 @@ from repro.testing import make_bench_target, make_fast_target, time_limit
 
 
 #: Process-local tallies of which execution tier served the legs this
-#: process simulated: block translation, superblock traces, and the
-#: closed-form energy fast-forward.  Diagnostic plumbing only — the
-#: snapshot never enters a campaign report (reports are byte-pinned
-#: for identical seeds), and worker processes keep their own tallies,
-#: so under ``--workers > 1`` the parent's counters stay zero.
+#: process simulated: block translation and lane batching.  Diagnostic
+#: plumbing only — the snapshot never enters a campaign report (reports
+#: are byte-pinned for identical seeds); worker processes keep their own
+#: tallies and hand them back as :func:`tier_stats_delta` results.
 _TIER_STATS = {
     "blocks_translated": 0,
     "blocks_executed": 0,
     "blocks_deopts": 0,
-    "traces_formed": 0,
-    "traces_executed": 0,
-    "trace_exits": 0,
-    "ff_spans": 0,
-    "ff_spends": 0,
     "lanes_packed": 0,
     "lanes_peeled": 0,
     "batch_spans": 0,
@@ -71,11 +65,6 @@ def _harvest_tier_stats(target) -> None:
     stats["blocks_translated"] += cpu.blocks_translated
     stats["blocks_executed"] += cpu.blocks_executed
     stats["blocks_deopts"] += cpu.blocks_deopts
-    stats["traces_formed"] += cpu.traces_formed
-    stats["traces_executed"] += cpu.traces_executed
-    stats["trace_exits"] += cpu.trace_exits
-    stats["ff_spans"] += target.ff_spans
-    stats["ff_spends"] += target.ff_spends
 
 
 def note_lane_stats(*, packed: int = 0, peeled: int = 0, spans: int = 0) -> None:

@@ -294,23 +294,13 @@ class DebugSession:
             "reboots": self.device.reboot_count,
             "cycles": self.device.cycles_executed,
             "breakpoints": len(self.handles),
-            # Which execution tier served the session's work so far:
-            # block translation, superblock traces, and the closed-form
-            # energy fast-forward (spans opened / spends committed).
+            # How much of the session's work block translation served
+            # so far (the rest single-stepped).
             "tier": {
                 "blocks": {
                     "translated": cpu.blocks_translated,
                     "executed": cpu.blocks_executed,
                     "deopts": cpu.blocks_deopts,
-                },
-                "traces": {
-                    "formed": cpu.traces_formed,
-                    "executed": cpu.traces_executed,
-                    "exits": cpu.trace_exits,
-                },
-                "fast_forward": {
-                    "spans": self.device.ff_spans,
-                    "spends": self.device.ff_spends,
                 },
             },
         }

@@ -20,20 +20,6 @@ Two execution engines share that contract:
   sequence of :meth:`step`, so voltage trajectories, power failures,
   and faults land on the same instruction boundaries bit-for-bit; the
   translation only removes interpreter overhead, never accounting.
-
-On top of the block cache sits a third tier: profile-guided
-**superblock traces**.  A per-start-PC execution counter finds hot
-blocks; when a hot block's final branch was observed taken into another
-live translated block, the chain is compiled into a :class:`_Trace` —
-up to :data:`_TRACE_BLOCK_LIMIT` components, with self-loops unrolled
-to the limit — and dispatched under a single combined guard
-(``trace_guard``, installed by the device, which may additionally open
-a closed-form energy fast-forward span for the whole trace).  Traces
-run the *same* thunk tuples the block tier runs, checking between
-components that each taken branch really landed on the next component
-(a side exit simply ends the trace early), so the tier is
-architecturally invisible: identical retirement, coverage, energy, and
-fault boundaries, one dispatch for dozens of instructions.
 """
 
 from __future__ import annotations
@@ -96,8 +82,6 @@ _NON_WRITING_OPS = frozenset({Op.CMP, Op.BIT, Op.NOP} | JUMPS)
 
 _BLOCK_LIMIT = 64  # instructions per block; bounds translation latency
 _BLOCK_POOL_LIMIT = 1024  # retired blocks kept for fingerprint revival
-_TRACE_HEAT = 16  # executions from one start PC before trace formation
-_TRACE_BLOCK_LIMIT = 16  # components per trace; self-loops unroll this far
 
 
 class _Block:
@@ -116,34 +100,6 @@ class _Block:
     __slots__ = (
         "start", "lo", "hi", "thunks", "worst_cycles", "valid",
         "fingerprint", "end_pc",
-    )
-
-
-class _Trace:
-    """A profile-guided superblock: hot blocks chained across taken branches.
-
-    ``blocks`` holds the component :class:`_Block` objects in dispatch
-    order (a self-looping block appears repeatedly — the unrolled form).
-    The trace owns no thunks of its own: execution runs each component's
-    tuple, so any state a component bail or side exit leaves behind is
-    exactly what consecutive ``step_block`` calls would have produced.
-    ``worst_cycles`` is the sum of the components' worst cases — the
-    budget a single combined guard (and the closed-form fast-forward
-    span) is proven against.  Component code writes invalidate the
-    *blocks*; the trace notices dead components at dispatch (via
-    ``unique_blocks``, deduplicated so an unrolled self-loop sweeps one
-    object, not sixteen) and retires itself lazily.  ``parts`` holds
-    one pre-sliced ``(block, first_thunk, rest_thunks, link)`` tuple
-    per component: the first thunk runs unconditionally (matching block
-    dispatch, which only checks self-invalidation *after* the first
-    retirement), ``rest_thunks`` carries the remainder, and ``link`` is
-    the start PC the component's taken branch must land on for the
-    trace to continue (``None`` for the last component).
-    """
-
-    __slots__ = (
-        "start", "blocks", "parts", "unique_blocks", "worst_cycles",
-        "instructions", "valid",
     )
 
 
@@ -192,7 +148,7 @@ class Cpu:
         # per-instruction spend sequence, so a mid-block power failure
         # still lands on the right instruction even if the guard said
         # yes — but deoptimizing near brown-out keeps the single-step
-        # reference path exercised exactly where the ISSUE requires it.
+        # reference path exercised at every observation point.
         self.block_cache_enabled = True
         self.block_guard: Callable[[int], bool] | None = None
         self.blocks_translated = 0
@@ -205,22 +161,6 @@ class Cpu:
         self._no_block: set[int] = set()  # PCs translation refused
         self._block_pool: dict[int, _Block] = {}  # retired, revivable
         self._watch_pcs: set[int] = set()
-        # -- superblock trace tier ---------------------------------------
-        # ``trace_guard(worst_cycles) -> int`` is installed by the
-        # device: 0 refuses the trace (dispatch falls back to the block
-        # tier), 1 admits it on the ordinary per-spend path, 2
-        # additionally opens a closed-form energy fast-forward span that
-        # ``span_end`` closes when the trace finishes or unwinds.
-        self.trace_tier_enabled = True
-        self.trace_guard: Callable[[int], int] | None = None
-        self.span_end: Callable[[], None] | None = None
-        self.traces_formed = 0
-        self.traces_executed = 0
-        self.trace_exits = 0
-        self._trace_cache: dict[int, _Trace] = {}
-        self._block_heat: dict[int, int] = {}  # start PC -> executions
-        self._block_succ: dict[int, int] = {}  # start PC -> last taken target
-        self._no_trace: set[int] = set()  # head PCs formation refused
         # The write observer that keeps both caches honest is installed
         # lazily, at the first decode: before anything is decoded both
         # caches are empty, so no store can invalidate anything, and
@@ -337,21 +277,10 @@ class Cpu:
                 # The store may have turned an untranslatable PC into a
                 # translatable one (or vice versa); re-probe lazily.
                 self._no_block.clear()
-            if self._no_trace:
-                # Invalidated blocks can change what is chainable, so
-                # refused trace heads get another shot too.  Traces with
-                # a newly dead component retire themselves at dispatch.
-                self._no_trace.clear()
 
     # -- block cache bookkeeping -------------------------------------------
     def _retire_blocks(self) -> None:
-        """Move every live block to the revival pool and clear the index.
-
-        Traces are dropped outright — they are cheap to re-form from the
-        surviving heat/successor profile once their components revive —
-        but the profile itself is kept: it describes dynamic behaviour,
-        which a code-preserving retirement does not change.
-        """
+        """Move every live block to the revival pool and clear the index."""
         pool = self._block_pool
         if len(pool) > _BLOCK_POOL_LIMIT:
             pool.clear()
@@ -362,7 +291,6 @@ class Cpu:
         self._block_index.clear()
         self._blk_lo = self._blk_hi = 0
         self._no_block.clear()
-        self._drop_traces()
 
     def _drop_blocks(self) -> None:
         """Destroy every block, pooled ones included (watch set changed)."""
@@ -373,18 +301,6 @@ class Cpu:
         self._block_index.clear()
         self._blk_lo = self._blk_hi = 0
         self._no_block.clear()
-        self._drop_traces()
-        # A changed watch set redraws block boundaries, so the recorded
-        # successors may name PCs that will never be block starts again.
-        self._block_heat.clear()
-        self._block_succ.clear()
-
-    def _drop_traces(self) -> None:
-        """Destroy every formed trace (components changed wholesale)."""
-        for trace in self._trace_cache.values():
-            trace.valid = False
-        self._trace_cache.clear()
-        self._no_trace.clear()
 
     def add_watch_pc(self, pc: int) -> None:
         """Exclude ``pc`` from block translation (breakpoint/watch hook).
@@ -575,14 +491,6 @@ class Cpu:
             self.step()
             return 1
         pc = self._registers[PC]
-        if self.trace_tier_enabled:
-            trace = self._trace_cache.get(pc)
-            if trace is not None:
-                retired = self._run_trace(trace, limit)
-                if retired:
-                    return retired
-                # Refused (budget, guard, or a dead component): nothing
-                # ran; fall through to ordinary block dispatch.
         block = self._block_cache.get(pc)
         if block is None:
             if pc in self._no_block:
@@ -626,162 +534,6 @@ class Cpu:
             # nothing to record; only a completed block whose final
             # transfer landed elsewhere opens a new dynamic block.
             self.coverage.record(self._registers[PC])
-        if self.trace_tier_enabled and retired == len(thunks):
-            heat = self._block_heat
-            executions = heat.get(pc, 0) + 1
-            heat[pc] = executions
-            landed = self._registers[PC]
-            if landed != block.end_pc:
-                self._block_succ[pc] = landed
-                if (
-                    executions >= _TRACE_HEAT
-                    and pc not in self._trace_cache
-                    and pc not in self._no_trace
-                ):
-                    self._form_trace(pc)
-        return retired
-
-    # -- superblock traces ---------------------------------------------------
-    def _form_trace(self, start: int) -> _Trace | None:
-        """Chain hot blocks across recorded taken branches into a trace.
-
-        Follows the last-observed taken successor from ``start`` while
-        every hop lands on a live translated block, up to
-        :data:`_TRACE_BLOCK_LIMIT` components — a block whose branch
-        jumps back to itself chains to itself, so tight loops come out
-        unrolled to the limit.  Anything shorter than two components is
-        not worth a trace; the refusal is memoized in ``_no_trace``
-        until the next code write changes what is chainable.
-        """
-        cache = self._block_cache
-        succ = self._block_succ
-        blocks: list[_Block] = []
-        worst = 0
-        instructions = 0
-        at = start
-        while len(blocks) < _TRACE_BLOCK_LIMIT:
-            block = cache.get(at)
-            if block is None or not block.valid:
-                break
-            blocks.append(block)
-            worst += block.worst_cycles
-            instructions += len(block.thunks)
-            nxt = succ.get(at)
-            if nxt is None:
-                break
-            at = nxt
-        if len(blocks) < 2:
-            self._no_trace.add(start)
-            return None
-        trace = _Trace()
-        trace.start = start
-        trace.blocks = tuple(blocks)
-        links = [nxt.start for nxt in blocks[1:]] + [None]
-        trace.parts = tuple(
-            (block, block.thunks[0], block.thunks[1:], link)
-            for block, link in zip(blocks, links)
-        )
-        unique: list[_Block] = []
-        for block in blocks:
-            if block not in unique:
-                unique.append(block)
-        trace.unique_blocks = tuple(unique)
-        trace.worst_cycles = worst
-        trace.instructions = instructions
-        trace.valid = True
-        self._trace_cache[start] = trace
-        self.traces_formed += 1
-        return trace
-
-    def _run_trace(self, trace: _Trace, limit: int | None) -> int:
-        """Execute a formed trace; returns instructions retired (0 = refused).
-
-        A refusal — retirement budget too small, a component block
-        invalidated by a code write since formation, or the device guard
-        declining the combined worst case — executes *nothing*, so the
-        caller can fall back to block dispatch with no state to unwind.
-        Once admitted, the trace runs each component's thunk tuple
-        exactly as block dispatch would, checking between components
-        that the previous component's taken branch actually landed on
-        the next one; a side exit ends the trace early with everything
-        retired so far already architecturally committed.  Guard mode 2
-        means the device opened a closed-form fast-forward span for the
-        trace's worst-case cycles; it is closed on every way out,
-        including exceptions unwinding mid-trace.
-        """
-        if limit is not None and limit < trace.instructions:
-            return 0
-        for block in trace.unique_blocks:
-            if not block.valid:
-                # A code write retired a component since formation:
-                # drop the trace and let the profile re-form it once
-                # the block tier has retranslated the new code.
-                trace.valid = False
-                self._trace_cache.pop(trace.start, None)
-                return 0
-        guard = self.trace_guard
-        if guard is None:
-            block_guard = self.block_guard
-            mode = (
-                1
-                if block_guard is None or block_guard(trace.worst_cycles)
-                else 0
-            )
-        else:
-            mode = guard(trace.worst_cycles)
-        if mode == 0:
-            return 0
-        self.traces_executed += 1
-        regs = self._registers
-        coverage = self.coverage
-        retired = 0
-        # Mode 2 means the device opened a fast-forward span, which
-        # requires an empty post-work hook list — nothing can observe
-        # ``instructions_retired`` between spends, so the counter is
-        # batched into the local ``retired`` and committed exactly (on
-        # success *and* on an unwinding exception) by the finally
-        # below.  Mode 1 keeps the per-thunk increment: hooks run after
-        # every spend and may read the live count.
-        batched = mode == 2
-        try:
-            for block, first, rest, link in trace.parts:
-                if batched:
-                    first()
-                    retired += 1
-                    for thunk in rest:
-                        if not block.valid:
-                            # The component modified its own code: stop
-                            # on the same boundary block dispatch would.
-                            self.blocks_deopts += 1
-                            self.trace_exits += 1
-                            return retired
-                        thunk()
-                        retired += 1
-                else:
-                    first()
-                    self.instructions_retired += 1
-                    retired += 1
-                    for thunk in rest:
-                        if not block.valid:
-                            self.blocks_deopts += 1
-                            self.trace_exits += 1
-                            return retired
-                        thunk()
-                        self.instructions_retired += 1
-                        retired += 1
-                landed = regs[0]
-                if coverage is not None and landed != block.end_pc:
-                    coverage.record(landed)
-                if link is not None and landed != link:
-                    # The final branch went somewhere the profile did
-                    # not predict; the next dispatch starts from the
-                    # actual landing PC.
-                    self.trace_exits += 1
-                    return retired
-        finally:
-            if batched:
-                self.instructions_retired += retired
-                self.span_end()
         return retired
 
     # -- block translation ---------------------------------------------------

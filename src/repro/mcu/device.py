@@ -56,23 +56,11 @@ def _blockcache_disabled() -> bool:
     return os.environ.get("REPRO_NO_BLOCKCACHE", "") not in ("", "0")
 
 
-def _superblock_disabled() -> bool:
-    """True when ``REPRO_NO_SUPERBLOCK=1`` (or any non-zero value) is set.
-
-    Disables only the third speed tier — superblock trace formation and
-    dispatch, and with it the closed-form fast-forward span — while
-    block translation and the per-spend fast path stay on.  This is the
-    middle configuration the differential suite pins against both
-    neighbours.
-    """
-    return os.environ.get("REPRO_NO_SUPERBLOCK", "") not in ("", "0")
-
-
 def _deopt_forced() -> bool:
     """True when ``REPRO_FORCE_DEOPT=1`` (or any non-zero value) is set.
 
-    Makes :meth:`TargetDevice.block_guard` refuse every block and trace,
-    so dispatch single-steps everywhere while the translation caches
+    Makes :meth:`TargetDevice.block_guard` refuse every block, so
+    dispatch single-steps everywhere while the translation caches
     stay warm — the forced-deopt leg of the bit-identity contract, and
     the cheapest way to prove a suspect behaviour is (or is not) a
     guard/dispatch artifact.
@@ -95,8 +83,8 @@ class _SpendWindow:
     __slots__ = (
         "epoch", "fired", "gpio_load", "source", "src_has_enabled",
         "src_has_distance", "src_enabled", "src_distance", "voc", "rs",
-        "net", "v_inf", "tau", "cap", "half_cap", "vmax", "floor",
-        "bound", "leak_tau", "segments", "capacitor",
+        "net", "v_inf", "tau", "cap", "vmax", "floor", "bound",
+        "leak_tau", "segments",
     )
 
 
@@ -173,20 +161,9 @@ class TargetDevice:
         self._spend_window: _SpendWindow | None = None
         self.cpu.block_cache_enabled = self._fast_spend_enabled
         self.cpu.block_guard = self.block_guard
-        self.cpu.trace_tier_enabled = (
-            self._fast_spend_enabled and not _superblock_disabled()
-        )
-        self.cpu.trace_guard = self.trace_guard
-        self.cpu.span_end = self._span_end
-        # REPRO_FORCE_DEOPT=1 pins this True: every block/trace guard
-        # refuses and dispatch single-steps with warm caches.
+        # REPRO_FORCE_DEOPT=1 pins this True: every block guard refuses
+        # and dispatch single-steps with warm caches.
         self.force_deopt = _deopt_forced()
-        # Closed-form fast-forward state + instrumentation: worst-case
-        # cycles remaining in the currently open span, spans opened by
-        # trace_guard, and spends committed inside spans.
-        self._span_cycles = 0
-        self.ff_spans = 0
-        self.ff_spends = 0
         # Observers of power-failure resets (fault injectors re-arm
         # their per-boot schedules here; recorders log boot boundaries).
         self.on_reboot: list[Callable[[int], None]] = []
@@ -217,12 +194,10 @@ class TargetDevice:
         # source probe on the next unit of work.
         self._stop_after = value
         self._spend_window = None
-        self._span_cycles = 0
 
     def invalidate_energy_window(self) -> None:
         """Drop the cached fast-spend window (rebuilt on next work)."""
         self._spend_window = None
-        self._span_cycles = 0
 
     def _check_power(self) -> None:
         if not self.power.is_on:
@@ -249,75 +224,6 @@ class TargetDevice:
         ``floor``).  Anything else falls through to the historical
         one-call-at-a-time path, which also (re)builds the window.
         """
-        span = self._span_cycles
-        if span:
-            # Closed-form fast-forward: trace_guard proved — against the
-            # trace's *worst-case* cycle total plus one cycle of rounding
-            # slack — that every spend in the open span commits on the
-            # fast path: no scheduled event fires, the deadline and the
-            # window bound stay ahead, and the worst-case droop keeps the
-            # comparator quiet.  That hoists the per-spend staleness,
-            # queue, and deadline checks out of the loop; the arithmetic
-            # below is the fast path's own, replayed per spend (see
-            # :func:`repro.power.capacitor.closed_form_step` for the
-            # pinned reference form).  The ``v > 0`` and ``floor`` checks
-            # stay per-spend because a memory-write observer (the
-            # commit-boundary fault injector) can still force a brown-out
-            # mid-trace, and that must land on the exact instruction.
-            fw = self._spend_window
-            if fw is not None and extra_current == 0.0 and 0 < cycles <= span:
-                try:
-                    dt, exp_charge, leak_factor = fw.segments[cycles]
-                except KeyError:
-                    dt = cycles * self._cycle_time
-                    seg = (
-                        dt,
-                        math.exp(-dt / fw.tau),
-                        math.exp(-dt / fw.leak_tau)
-                        if fw.leak_tau is not None
-                        else None,
-                    )
-                    if len(fw.segments) >= 256:
-                        fw.segments.clear()
-                    fw.segments[cycles] = seg
-                    dt, exp_charge, leak_factor = seg
-                capacitor = fw.capacitor
-                v = capacitor._voltage
-                if v > 0.0:
-                    if fw.voc > v:
-                        new_v = fw.v_inf + (v - fw.v_inf) * exp_charge
-                    else:
-                        new_v = v - fw.net * dt / fw.cap
-                    if new_v < 0.0:
-                        v1 = 0.0
-                    elif new_v > fw.vmax:
-                        v1 = fw.vmax
-                    else:
-                        v1 = new_v
-                    if leak_factor is not None and v1 > 0.0:
-                        v1 = v1 * leak_factor
-                        if v1 < 0.0:
-                            v1 = 0.0
-                        elif v1 > fw.vmax:
-                            v1 = fw.vmax
-                    if v1 >= fw.floor:
-                        sim = self.sim
-                        sim._now = sim._now + dt
-                        capacitor._voltage = v1
-                        self._span_cycles = span - cycles
-                        self.cycles_executed += cycles
-                        half_cap = fw.half_cap
-                        drained = half_cap * v * v - half_cap * v1 * v1
-                        if drained > 0.0:
-                            self.energy_consumed += drained
-                        self.ff_spends += 1
-                        return
-            # A span assumption broke (a forced brown-out dropped the
-            # rail under the floor, or an untracked spend shape slipped
-            # in): close the span and fall through — the regular paths
-            # re-derive everything and raise exactly where
-            # single-stepping would.
-            self._span_cycles = 0
         fw = self._spend_window
         if fw is not None and extra_current == 0.0 and cycles > 0:
             power = self.power
@@ -547,10 +453,6 @@ class TargetDevice:
         fw.tau = rs * cap
         fw.v_inf = voc - net * rs
         fw.cap = cap
-        # 0.5 * cap is exact (power-of-two multiply), so the span path's
-        # ``half_cap * v * v`` is bitwise ``0.5 * cap * v * v``.
-        fw.half_cap = 0.5 * cap
-        fw.capacitor = capacitor
         fw.vmax = capacitor.max_voltage
         fw.floor = floor
         fw.bound = bound
@@ -599,33 +501,6 @@ class TargetDevice:
         if fw.leak_tau is not None:
             drop += fw.vmax * dt / fw.leak_tau
         return v - drop >= fw.floor
-
-    def trace_guard(self, worst_cycles: int) -> int:
-        """Admission control for a superblock trace of ``worst_cycles``.
-
-        Returns 0 to refuse the trace (the CPU falls back to block
-        dispatch), 1 to admit it on the ordinary per-spend fast path,
-        or 2 after opening a closed-form fast-forward span covering the
-        trace's worst case.  The span proof is :meth:`block_guard` with
-        one extra cycle of slack: the span commits chained per-spend
-        times whose accumulated float rounding is bounded far below one
-        cycle time, so the slack guarantees that no per-spend bound,
-        queue, or deadline check the span skips could have fired.
-        Post-work hooks (energy breakpoints, fault injectors, run
-        watchdogs) must observe every spend, so their presence keeps the
-        trace on the per-spend path — mode 1 — rather than refusing it.
-        """
-        if not self.block_guard(worst_cycles + 1):
-            return 0
-        if self.post_work_hooks or self._span_cycles:
-            return 1
-        self._span_cycles = worst_cycles
-        self.ff_spans += 1
-        return 2
-
-    def _span_end(self) -> None:
-        """Close the fast-forward span (trace finished or unwound)."""
-        self._span_cycles = 0
 
     def spend_time(self, seconds: float, extra_current: float = 0.0) -> None:
         """Burn wall-clock work (bus transfers) against the supply."""

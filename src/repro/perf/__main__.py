@@ -27,6 +27,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.mcu.device import _blockcache_disabled, _deopt_forced
 from repro.perf.harness import BENCHMARKS, run_all
 
 #: Allowed slowdown versus the reference before --check fails.
@@ -122,12 +123,8 @@ def _host_stanza() -> dict:
         "cpu_count": os.cpu_count(),
         "git_revision": _git("rev-parse", "HEAD") or "unknown",
         "git_dirty": None if status is None else bool(status),
-        "block_cache": os.environ.get("REPRO_NO_BLOCKCACHE", "") in ("", "0"),
-        "superblock": (
-            os.environ.get("REPRO_NO_BLOCKCACHE", "") in ("", "0")
-            and os.environ.get("REPRO_NO_SUPERBLOCK", "") in ("", "0")
-        ),
-        "force_deopt": os.environ.get("REPRO_FORCE_DEOPT", "") not in ("", "0"),
+        "block_cache": not _blockcache_disabled(),
+        "force_deopt": _deopt_forced(),
     }
 
 

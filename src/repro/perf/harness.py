@@ -6,10 +6,6 @@ the profile that motivated the PR-2 hot-path work:
 - ``isa_throughput`` — the per-instruction loop: fetch/decode/execute
   plus the work→time+energy conversion, on a bench supply that never
   browns out (so the number is pure interpreter speed);
-- ``superblock_hot_loop`` — a register-only hot loop dispatched through
-  the superblock trace tier with the closed-form energy fast-forward
-  engaged, against the same loop on pure block dispatch (the speedup
-  the second speed tier buys lands in ``detail``);
 - ``charge_discharge`` — the intermittent duty cycle: organic charging
   to turn-on followed by discharging to brown-out, which exercises the
   power system's charging fast path;
@@ -84,28 +80,12 @@ class BenchResult:
 
 
 def _blocks_detail(cpu) -> dict:
-    """The CPU's translation-tier counters for ``detail`` dicts.
-
-    Covers both dispatch tiers above single-stepping: the block cache
-    (translated/executed/deopts) and the superblock trace tier
-    (formed/executed/side exits).
-    """
+    """The CPU's block-cache counters (translated/executed/deopts)."""
     return {
         "translated": cpu.blocks_translated,
         "executed": cpu.blocks_executed,
         "deopts": cpu.blocks_deopts,
-        "traces_formed": cpu.traces_formed,
-        "traces_executed": cpu.traces_executed,
-        "trace_exits": cpu.trace_exits,
     }
-
-
-def _tier_detail(target) -> dict:
-    """Block + trace + closed-form fast-forward counters for one device."""
-    detail = _blocks_detail(target.cpu)
-    detail["ff_spans"] = target.ff_spans
-    detail["ff_spends"] = target.ff_spends
-    return detail
 
 
 def bench_isa_throughput(instructions: int = 60_000) -> BenchResult:
@@ -140,7 +120,7 @@ def bench_isa_throughput(instructions: int = 60_000) -> BenchResult:
             "retired_total": target.cpu.instructions_retired,
             "cycles_executed": target.cycles_executed,
             "sim_time_s": sim.now,
-            "blocks": _tier_detail(target),
+            "blocks": _blocks_detail(target.cpu),
         },
     )
 
@@ -174,80 +154,7 @@ def bench_charge_discharge(cycles: int = 12) -> BenchResult:
             "cycles": completed,
             "sim_time_s": sim.now - sim_start,
             "reboots": target.power.reboots,
-            "blocks": _tier_detail(target),
-        },
-    )
-
-
-#: A register-only nested loop: three-instruction inner blocks, one
-#: spend per instruction — the Alpaca-style task-loop shape where
-#: per-block dispatch and per-spend bookkeeping dominate, and where
-#: superblock chaining plus the closed-form span pay off most.
-SUPERBLOCK_LOOP_SOURCE = """
-        .org 0xA000
-start:  mov #0, r4
-outer:  mov #30000, r5
-loop:   add #3, r4
-        dec r5
-        jnz loop
-        jmp outer
-"""
-
-
-def bench_superblock_hot_loop(instructions: int = 60_000) -> BenchResult:
-    """Trace-tier throughput on a register-only hot loop.
-
-    Runs the same workload on identical fresh targets with the
-    superblock trace tier disabled (pure block dispatch) and enabled,
-    interleaved three times to ride out scheduler noise, and reports
-    the trace tier's best instruction rate; the block tier's best rate
-    and the resulting speedup land in ``detail`` (the ``--check`` gate
-    then guards the headline value like any other benchmark).  Both
-    configurations retire the identical instruction stream on a bench
-    supply — the tier contract is bit-identity — so the ratio isolates
-    pure dispatch/fast-forward overhead removal.
-    """
-    program = assemble(SUPERBLOCK_LOOP_SOURCE)
-
-    def run(trace_tier: bool):
-        sim = Simulator(seed=7)
-        target = make_bench_target(sim)
-        target.load_program(program)
-        target.cpu.trace_tier_enabled = (
-            target.cpu.trace_tier_enabled and trace_tier
-        )
-        step_block = target.cpu.step_block
-        # Warm-up: heat the profile past the trace-formation threshold.
-        for _ in range(64):
-            step_block()
-        t0 = time.perf_counter()
-        retired = 0
-        while retired < instructions:
-            retired += step_block()
-        return time.perf_counter() - t0, retired, target
-
-    best_off = best_on = float("inf")
-    target = None
-    retired = 0
-    for _ in range(3):
-        wall_off, _, _ = run(False)
-        best_off = min(best_off, wall_off)
-        wall_on, retired, target = run(True)
-        best_on = min(best_on, wall_on)
-    return BenchResult(
-        name="superblock_hot_loop",
-        value=retired / best_on if best_on > 0 else float("inf"),
-        unit="instructions/s",
-        wall_s=best_on,
-        detail={
-            "instructions": retired,
-            "block_tier_instructions_per_s": (
-                retired / best_off if best_off > 0 else float("inf")
-            ),
-            "speedup_vs_block_tier": (
-                best_off / best_on if best_on > 0 else float("inf")
-            ),
-            "blocks": _tier_detail(target),
+            "blocks": _blocks_detail(target.cpu),
         },
     )
 
@@ -458,9 +365,6 @@ def bench_fuzz_search(runs: int = 18) -> BenchResult:
 #: ``python -m repro.perf --profile NAME`` resolves names here.
 BENCHMARKS = {
     "isa_throughput": lambda scale=1.0: bench_isa_throughput(
-        max(500, int(60_000 * scale))
-    ),
-    "superblock_hot_loop": lambda scale=1.0: bench_superblock_hot_loop(
         max(500, int(60_000 * scale))
     ),
     "charge_discharge": lambda scale=1.0: bench_charge_discharge(

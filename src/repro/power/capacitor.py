@@ -27,17 +27,16 @@ def closed_form_step(
     """One analytic RC(+leakage) trajectory step from precomputed constants.
 
     This is the reference form of the arithmetic the device's fast
-    spend path and closed-form fast-forward span inline
-    (``TargetDevice.execute_cycles``): the Thevenin charge solution
+    spend path inlines (``TargetDevice.execute_cycles``): the Thevenin charge solution
     ``v_inf + (v - v_inf) * exp(-dt/tau)`` while the open-circuit
     voltage is above the rail, the constant-net discharge
     ``v - net*dt/C`` otherwise, branch-chain clamped to
     ``[0, max_voltage]``, then the leakage decay factor
     ``exp(-dt/leak_tau)`` under the same clamp.  Expression shapes and
     operand order are load-bearing: the equivalence tests pin the
-    device's inlined copies against this function bit for bit, which is
-    what lets a whole trace of spends fast-forward without drifting
-    from the single-step trajectory.  ``exp_charge`` and
+    device's inlined copy against this function bit for bit, which is
+    what keeps the memoized fast path from drifting off the single-step
+    trajectory.  ``exp_charge`` and
     ``leak_factor`` are the caller-memoized exponentials (``None``
     disables leakage).
     """

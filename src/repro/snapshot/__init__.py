@@ -401,11 +401,6 @@ def restore(
     cpu.blocks_translated = 0
     cpu.blocks_executed = 0
     cpu.blocks_deopts = 0
-    cpu.traces_formed = 0
-    cpu.traces_executed = 0
-    cpu.trace_exits = 0
-    device.ff_spans = 0
-    device.ff_spends = 0
 
     gpio = device.gpio
     for name, (state, toggles) in snap.gpio_pins.items():

@@ -1,9 +1,8 @@
-"""Differential ISA conformance for the block and superblock tiers.
+"""Differential ISA conformance for the block dispatch tier.
 
 Every test here runs the same assembled program on freshly built,
-identically seeded simulators under each execution tier — single-step,
-translated basic blocks, and profile-guided superblock traces with the
-closed-form energy fast-forward — and requires the executions to be
+identically seeded simulators under each execution tier — single-step
+and translated basic blocks — and requires the executions to be
 *bit-identical*: register file, Fletcher-16 checksums of every memory
 region, retired-instruction counts, reboot boundaries, simulated clock,
 capacitor voltage, and energy accounting.  Programs are randomly
@@ -28,7 +27,11 @@ import random
 import pytest
 
 from repro import RunStatus, Simulator, TargetDevice, make_wisp_power_system
+from repro.campaign import forking
+from repro.campaign.config import CampaignConfig
 from repro.campaign.faults import ScheduledBrownouts
+from repro.campaign.report import render_json
+from repro.campaign.scheduler import run_campaign
 from repro.mcu.assembler import assemble
 from repro.power.capacitor import StorageCapacitor, closed_form_step
 from repro.runtime.isa_executor import IsaIntermittentExecutor
@@ -36,28 +39,20 @@ from repro.testing import make_bench_target
 
 pytestmark = pytest.mark.blockcache
 
-#: The three dispatch tiers, fastest first (see docs/PERF.md).
-MODES = ("trace", "block", "step")
+#: The two dispatch tiers, fastest first (see docs/PERF.md).
+MODES = ("block", "step")
 
 # The differential (bit-identity) assertions run under *every* tier
 # environment — that is the point of the suite — but the non-vacuity
 # assertions ("the tier under test really engaged") only hold when the
 # environment has not disabled that tier.
 _BLOCKCACHE_ON = os.environ.get("REPRO_NO_BLOCKCACHE", "") in ("", "0")
-_SUPERBLOCK_ON = _BLOCKCACHE_ON and (
-    os.environ.get("REPRO_NO_SUPERBLOCK", "") in ("", "0")
-)
 _DEOPT_FORCED = os.environ.get("REPRO_FORCE_DEOPT", "") not in ("", "0")
 _BLOCKS_ENGAGE = _BLOCKCACHE_ON and not _DEOPT_FORCED
-_TRACES_ENGAGE = _SUPERBLOCK_ON and not _DEOPT_FORCED
 
 needs_guards = pytest.mark.skipif(
     not _BLOCKS_ENGAGE,
     reason="block guards disabled by REPRO_NO_BLOCKCACHE/REPRO_FORCE_DEOPT",
-)
-needs_traces = pytest.mark.skipif(
-    not _TRACES_ENGAGE,
-    reason="trace tier disabled by environment",
 )
 
 
@@ -70,14 +65,13 @@ def fletcher16(data: bytes) -> int:
     return (s2 << 8) | s1
 
 
-def _execute(source, *, mode="trace", seed=1234, duration=1.5,
+def _execute(source, *, mode="block", seed=1234, duration=1.5,
              distance=1.6, fading_sigma=0.0, schedule=None, bench=False):
     """Assemble and run ``source`` intermittently under one dispatch tier.
 
     ``mode`` picks the tier: ``"step"`` single-steps every instruction,
-    ``"block"`` dispatches translated blocks with the trace tier off,
-    and ``"trace"`` is the full production path (superblock traces plus
-    the closed-form fast-forward).  ``schedule`` optionally installs a
+    and ``"block"`` is the production path (translated blocks).
+    ``schedule`` optionally installs a
     :class:`ScheduledBrownouts` injector (ops per boot); ``bench``
     swaps the fading RF supply for the bench supply that never browns
     out organically, so the schedule is the only fault source.
@@ -93,9 +87,7 @@ def _execute(source, *, mode="trace", seed=1234, duration=1.5,
         device = TargetDevice(sim, power)
     if mode == "step":
         device.cpu.block_cache_enabled = False
-    elif mode == "block":
-        device.cpu.trace_tier_enabled = False
-    elif mode != "trace":
+    elif mode != "block":
         raise ValueError(f"unknown mode {mode!r}")
     injector = (
         ScheduledBrownouts(device, list(schedule)) if schedule else None
@@ -130,7 +122,7 @@ def _observable_state(result, device, sim):
 
 
 def _assert_differential(source, **kwargs):
-    """Run all three tiers and require bit-identical observable state.
+    """Run both tiers and require bit-identical observable state.
 
     Returns ``{mode: (result, device, sim)}`` so callers can make the
     differential non-vacuous (assert the tier under test actually
@@ -138,7 +130,6 @@ def _assert_differential(source, **kwargs):
     """
     runs = {mode: _execute(source, mode=mode, **kwargs) for mode in MODES}
     states = {mode: _observable_state(*run) for mode, run in runs.items()}
-    assert states["trace"] == states["step"], "trace tier diverged"
     assert states["block"] == states["step"], "block tier diverged"
     return runs
 
@@ -235,10 +226,7 @@ def test_random_branchy_differential(seed):
     _, stepped_device, _ = runs["step"]
     if _BLOCKS_ENGAGE:
         assert blocked_device.cpu.blocks_executed > 0
-    # The block-only tier must never have formed a trace, and
-    # single-step mode must never have touched the translator.
-    assert blocked_device.cpu.traces_formed == 0
-    assert blocked_device.cpu.traces_executed == 0
+    # Single-step mode must never have touched the translator.
     assert stepped_device.cpu.blocks_translated == 0
     assert stepped_device.cpu.blocks_executed == 0
 
@@ -258,13 +246,6 @@ def test_mid_block_brownout_differential():
     assert blocked_result.reboots > 0
     if _BLOCKCACHE_ON:
         assert blocked_device.cpu.blocks_deopts > 0
-    # The full production tier additionally ran traces and fast-forward
-    # spans through the same brown-outs without drifting a bit.
-    if _TRACES_ENGAGE:
-        traced_device = runs["trace"][1]
-        assert traced_device.cpu.traces_executed > 0
-        assert traced_device.ff_spans > 0
-        assert traced_device.ff_spends > 0
 
 
 SELF_MODIFYING_SOURCE = """
@@ -294,7 +275,7 @@ def test_self_modifying_code_differential():
 
 def test_forced_single_step_leaves_counters_dark():
     """block_cache_enabled=False is a true kill switch: no translation,
-    no block dispatch, no deopt accounting, no traces, no spans."""
+    no block dispatch, no deopt accounting."""
     _, device, _ = _execute(
         _random_straightline(random.Random(3), 25), mode="step", seed=3
     )
@@ -304,27 +285,20 @@ def test_forced_single_step_leaves_counters_dark():
         0,
         0,
     )
-    assert (cpu.traces_formed, cpu.traces_executed, cpu.trace_exits) == (
-        0,
-        0,
-        0,
-    )
-    assert (device.ff_spans, device.ff_spends) == (0, 0)
 
 
-# -- random fault schedules across all three tiers --------------------------
+# -- random fault schedules across both tiers -------------------------------
 
 
 @pytest.mark.parametrize("seed", [3, 17, 59])
 def test_random_faulted_schedule_differential(seed):
-    """Random program + random brown-out schedule, three-way identical.
+    """Random program + random brown-out schedule, step vs block identical.
 
     The bench supply never browns out organically, so the injected
     schedule is the only fault source — every reboot boundary, register,
     memory word, clock tick, and capacitor bit must agree across
-    single-step, block, and trace dispatch.  The injector's post-work
-    hook keeps traces on the per-spend path (mode 1), which is exactly
-    the configuration campaign legs run in.
+    single-step and block dispatch, with the injector's post-work hook
+    installed exactly as in campaign legs.
     """
     rng = random.Random(seed)
     source = _random_branchy(rng, iterations=rng.randrange(200, 400))
@@ -332,20 +306,14 @@ def test_random_faulted_schedule_differential(seed):
     runs = _assert_differential(
         source, seed=4000 + seed, duration=0.5, bench=True, schedule=schedule
     )
-    traced_result, traced_device, _ = runs["trace"]
-    # Faults really fired and the trace tier really served the run.
-    assert traced_result.reboots > 0
-    if _TRACES_ENGAGE:
-        assert traced_device.cpu.traces_formed > 0
-        assert traced_device.cpu.traces_executed > 0
-    # The injector hook must have pinned admissions to the per-spend
-    # path: a fast-forward span would have hidden spends from it.
-    assert traced_device.ff_spans == 0
+    blocked_result, _, _ = runs["block"]
+    # Faults really fired.
+    assert blocked_result.reboots > 0
 
 
 @pytest.mark.parametrize("seed", [13, 43])
 def test_random_faulted_organic_differential(seed):
-    """Random schedule *plus* organic fading brown-outs, three-way."""
+    """Random schedule *plus* organic fading brown-outs, step vs block."""
     rng = random.Random(seed)
     source = _random_branchy(rng, iterations=5000)
     schedule = [rng.randrange(30, 200) for _ in range(rng.randrange(1, 5))]
@@ -353,10 +321,10 @@ def test_random_faulted_organic_differential(seed):
         source, seed=5000 + seed, duration=0.8, distance=2.2,
         fading_sigma=1.5, schedule=schedule,
     )
-    traced_result, traced_device, _ = runs["trace"]
-    assert traced_result.reboots > 0
+    blocked_result, blocked_device, _ = runs["block"]
+    assert blocked_result.reboots > 0
     if _BLOCKS_ENGAGE:
-        assert traced_device.cpu.blocks_executed > 0
+        assert blocked_device.cpu.blocks_executed > 0
 
 
 # -- directed guard edge cases (src/repro/mcu/device.py block_guard) --------
@@ -458,27 +426,6 @@ def test_block_guard_event_one_cycle_inside_span():
     assert device.block_guard(cycles - 4)
 
 
-@needs_traces
-def test_trace_guard_modes():
-    """trace_guard: 0 = refuse, 1 = per-spend path, 2 = span open."""
-    _, device = _warm_bench_device()
-    # No hooks, plenty of energy: a span opens and is accounted.
-    spans_before = device.ff_spans
-    assert device.trace_guard(500) == 2
-    assert device._span_cycles == 500
-    assert device.ff_spans == spans_before + 1
-    # A nested admission while a span is open stays per-spend.
-    assert device.trace_guard(100) == 1
-    device._span_end()
-    assert device._span_cycles == 0
-    # Post-work hooks must observe every spend: per-spend path.
-    device.post_work_hooks.append(lambda: None)
-    assert device.trace_guard(500) == 1
-    device.post_work_hooks.clear()
-    # A refused block guard refuses the trace outright.
-    assert device.trace_guard(1 << 24) == 0
-
-
 def test_forced_deopt_differential():
     """force_deopt defeats every guard yet changes no observable bit."""
     source = _random_branchy(random.Random(9), iterations=2500)
@@ -497,27 +444,13 @@ def test_forced_deopt_differential():
     assert _observable_state(*forced) == _observable_state(*normal)
     forced_device = forced[1]
     # Every block admission was refused: translation still happens (and
-    # is charged as a deopt), but no trace ever runs and no span opens.
+    # is charged as a deopt).
     if _BLOCKCACHE_ON:
         assert forced_device.cpu.blocks_deopts > 0
-    assert forced_device.cpu.traces_executed == 0
-    assert forced_device.ff_spans == 0
-    # The unforced run really used the fast tiers, so the comparison
+    # The unforced run really used the fast tier, so the comparison
     # is not vacuous.
     if _BLOCKS_ENGAGE:
         assert normal[1].cpu.blocks_executed > 0
-
-
-@pytest.mark.skipif(
-    not _BLOCKCACHE_ON, reason="block cache disabled by environment"
-)
-def test_superblock_kill_switch_env(monkeypatch):
-    """REPRO_NO_SUPERBLOCK=1 disables only the trace tier."""
-    monkeypatch.setenv("REPRO_NO_SUPERBLOCK", "1")
-    sim = Simulator(seed=1)
-    device = make_bench_target(sim)
-    assert device.cpu.block_cache_enabled
-    assert not device.cpu.trace_tier_enabled
 
 
 def test_force_deopt_env(monkeypatch):
@@ -527,6 +460,52 @@ def test_force_deopt_env(monkeypatch):
     device = make_bench_target(sim)
     assert device.force_deopt
     assert not device.block_guard(1)
+
+
+# -- campaign-level dispatch identity ---------------------------------------
+
+#: A pinned-environment op-index sweep of the ISA firmware: every leg
+#: runs the interpreter, lanes batch, and forks share prefixes.
+OPSWEEP_CONFIG = CampaignConfig(
+    app="rfid_firmware", runs=6, seed=1357, workers=1, iterations=600,
+    duration=1.0, shrink=False, modes=("op_index",), min_ops=2000,
+    max_ops=60_000, distance_range=(1.6, 1.6), fading_range=(0.0, 0.0),
+    duty_chance=0.0,
+)
+
+
+def test_opsweep_campaign_identical_across_dispatch(monkeypatch):
+    """Sample-mode campaign bytes do not depend on the dispatch path.
+
+    Block dispatch, the from-reset single-step kill switch
+    (``REPRO_NO_BLOCKCACHE``), and guards refusing every block
+    (``REPRO_FORCE_DEOPT``) must render the same report.  The
+    continuous-leg memo is cleared between variants: a control leg
+    memoised under one setting would otherwise serve the next.
+    """
+    rendered = {}
+    stats = {}
+    for variant, env in (
+        ("block", None),
+        ("no_blockcache", "REPRO_NO_BLOCKCACHE"),
+        ("force_deopt", "REPRO_FORCE_DEOPT"),
+    ):
+        monkeypatch.delenv("REPRO_NO_BLOCKCACHE", raising=False)
+        monkeypatch.delenv("REPRO_FORCE_DEOPT", raising=False)
+        if env is not None:
+            monkeypatch.setenv(env, "1")
+        forking._continuous_memo.clear()
+        stats[variant] = {}
+        rendered[variant] = render_json(
+            run_campaign(OPSWEEP_CONFIG, batch=True, stats=stats[variant])
+        )
+    forking._continuous_memo.clear()
+    assert rendered["no_blockcache"] == rendered["block"]
+    assert rendered["force_deopt"] == rendered["block"]
+    assert stats["block"]["blocks_executed"] > 0
+    assert stats["block"]["lanes_packed"] > 0
+    assert stats["no_blockcache"]["blocks_executed"] == 0
+    assert stats["force_deopt"]["blocks_executed"] == 0
 
 
 # -- closed-form step: the pinned reference arithmetic ----------------------
@@ -558,28 +537,6 @@ def test_closed_form_step_matches_device_fast_path():
         )
         device.execute_cycles(cycles)
         assert device.power.capacitor._voltage == expected
-
-
-@needs_traces
-def test_closed_form_step_matches_span_fast_forward():
-    """The open-span branch commits the identical closed-form voltage."""
-    sim, device = _warm_bench_device()
-    fw = device._spend_window
-    cycles = 64
-    assert device.trace_guard(cycles) == 2
-    dt = cycles * device._cycle_time
-    expected = closed_form_step(
-        device.power.capacitor._voltage, dt, fw.voc, fw.v_inf,
-        math.exp(-dt / fw.tau), fw.net, fw.cap, fw.vmax, None,
-    )
-    spends_before = device.ff_spends
-    now_before = sim._now
-    device.execute_cycles(cycles)
-    assert device.power.capacitor._voltage == expected
-    assert device.ff_spends == spends_before + 1
-    assert device._span_cycles == 0  # the span was consumed exactly
-    assert sim._now == now_before + dt
-    device._span_end()
 
 
 def test_closed_form_advance_matches_reference():

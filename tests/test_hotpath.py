@@ -264,7 +264,7 @@ def test_perf_harness_smoke():
     """A scaled-down benchmark run produces well-formed results."""
     results = run_all(scale=0.02)
     assert set(results) == {
-        "isa_throughput", "superblock_hot_loop", "charge_discharge",
+        "isa_throughput", "charge_discharge",
         "campaign", "snapshot_fork", "campaign_opsweep", "fuzz_search",
     }
     for result in results.values():
