@@ -89,7 +89,7 @@ def run_isa_intermittent(use_checkpoints: bool, budget_s: float = 4.0):
             pass  # resumed mid-loop from the snapshot
         try:
             while True:
-                device.cpu.step()
+                device.cpu.step_block()
         except Halted:
             completed = True
             break

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repository check: the tier-1 test suite, the smoke and differential
-# re-runs, the paper reproduction, plus the quick perf gate.
+# re-runs, the paper reproduction, the benchmark's own tests, plus the
+# quick perf gate.
 #
 # Tier-1 (must stay green):     PYTHONPATH=src python -m pytest -x -q
 # Tier-1-adjacent (perf gate):  python -m repro.perf --check --quick
@@ -39,6 +40,9 @@ REPRO_NO_BLOCKCACHE=1 python -m pytest -q -m blockcache
 echo "== paper reproduction: benchmarks/ suite, outputs byte-stable =="
 python -m pytest -q benchmarks
 git diff --exit-code -- benchmarks/out
+
+echo "== benchmark self-tests: perfbench =="
+python3 -m pytest perfbench -q
 
 echo "== tier-1-adjacent: perf gate =="
 python -m repro.perf --check --quick --out /tmp/BENCH_perf_check.json

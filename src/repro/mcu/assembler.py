@@ -22,13 +22,18 @@ constants.
 
 :func:`assemble` returns a :class:`Program` with the encoded words, the
 origin, the symbol table, and a map from byte address to source line —
-which the debugger uses to print where a breakpoint hit.
+which the debugger uses to print where a breakpoint hit.  Assembly is a
+pure function of the source text, so :func:`assemble` memoises it and
+every caller of the same source shares one read-only image.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.mcu.isa import (
     Instruction,
@@ -51,14 +56,19 @@ class AssemblyError(Exception):
         self.line_no = line_no
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
-    """An assembled program image."""
+    """An assembled program image.
+
+    Immutable, because :func:`assemble` hands the same image to every
+    caller of the same source: ``words`` is a tuple and the two tables
+    are read-only mappings.
+    """
 
     origin: int
-    words: list[int]
-    symbols: dict[str, int]
-    line_map: dict[int, int] = field(default_factory=dict)  # byte addr -> line no
+    words: tuple[int, ...]
+    symbols: Mapping[str, int]
+    line_map: Mapping[int, int]  # byte addr -> line no
 
     @property
     def size_bytes(self) -> int:
@@ -293,14 +303,27 @@ class _Assembler:
             raise AssemblyError("program is empty")
         base = min(words)
         top = max(words) + 2
-        image = [words.get(addr, 0) for addr in range(base, top, 2)]
+        image = tuple(words.get(addr, 0) for addr in range(base, top, 2))
         return Program(
-            origin=base, words=image, symbols=dict(self.symbols), line_map=line_map
+            origin=base,
+            words=image,
+            symbols=MappingProxyType(dict(self.symbols)),
+            line_map=MappingProxyType(line_map),
         )
 
 
 def assemble(source: str, origin: int = 0xA000) -> Program:
-    """Assemble MSP430-flavoured source text into a :class:`Program`."""
+    """Assemble MSP430-flavoured source text into a :class:`Program`.
+
+    Memoised on ``(source, origin)``: repeated calls return the same
+    immutable image.  A failed assembly is never cached, so bad source
+    raises :class:`AssemblyError` on every call.
+    """
+    return _assemble_image(source, origin)
+
+
+@functools.lru_cache(maxsize=64)
+def _assemble_image(source: str, origin: int) -> Program:
     return _Assembler(source, origin).assemble()
 
 

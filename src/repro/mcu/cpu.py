@@ -41,8 +41,7 @@ from repro.mcu.isa import (
     SP,
     SR,
     WORD_MASK,
-    decode,
-    worst_case_cycles,
+    decode_entry,
 )
 from repro.mcu.memory import MemoryFault, MemoryMap, SRAM_BASE, SRAM_SIZE
 
@@ -81,7 +80,6 @@ _JUMP_FLAG = {
 _NON_WRITING_OPS = frozenset({Op.CMP, Op.BIT, Op.NOP} | JUMPS)
 
 _BLOCK_LIMIT = 64  # instructions per block; bounds translation latency
-_BLOCK_POOL_LIMIT = 1024  # retired blocks kept for fingerprint revival
 
 
 class _Block:
@@ -90,17 +88,11 @@ class _Block:
     ``thunks`` execute the run one closure per instruction, each fully
     updating PC/flags/memory exactly as :meth:`Cpu.step` would.  ``lo``/
     ``hi`` bound the code bytes the block was compiled from (used for
-    write invalidation), ``worst_cycles`` bounds the cycles one pass can
-    spend (used by the advisory energy guard), and ``fingerprint`` holds
-    the exact code bytes at translation time so a block retired by a
-    wholesale :meth:`Cpu.invalidate_decode_cache` can be revived cheaply
-    iff the code is still byte-identical.
+    write invalidation), and ``worst_cycles`` bounds the cycles one pass
+    can spend (used by the advisory energy guard).
     """
 
-    __slots__ = (
-        "start", "lo", "hi", "thunks", "worst_cycles", "valid",
-        "fingerprint", "end_pc",
-    )
+    __slots__ = ("start", "lo", "hi", "thunks", "worst_cycles", "valid", "end_pc")
 
 
 class Cpu:
@@ -132,13 +124,14 @@ class Cpu:
         # record the landing PC, identically under step() and
         # step_block(), so coverage is dispatch-invariant by design.
         self.coverage = None
-        # Decoded-instruction cache: PC -> (instruction, size, cycles).
-        # FRAM-resident code is decoded once per image instead of once
-        # per retirement.  Invalidation rides the map's write observers
-        # (every map-level store, plus whole-region notifications from
+        # Decoded-instruction cache: PC -> the shared decode-table entry
+        # ``(instruction, size, cycles, worst_cycles)``.  FRAM-resident
+        # code is decoded once per image instead of once per retirement.
+        # Invalidation rides the map's write observers (every map-level
+        # store, plus whole-region notifications from
         # ``clear_volatile``); code paths that mutate memory behind the
         # map's back must call :meth:`invalidate_decode_cache`.
-        self._decode_cache: dict[int, tuple[Instruction, int, int]] = {}
+        self._decode_cache: dict[int, tuple[Instruction, int, int, int]] = {}
         self._cache_lo = 0  # lowest byte address any cached encoding covers
         self._cache_hi = 0  # one past the highest (lo == hi means empty)
         # -- block translation cache ------------------------------------
@@ -159,7 +152,6 @@ class Cpu:
         self._blk_lo = 0  # address span covered by any live block
         self._blk_hi = 0  # (lo == hi means no live blocks)
         self._no_block: set[int] = set()  # PCs translation refused
-        self._block_pool: dict[int, _Block] = {}  # retired, revivable
         self._watch_pcs: set[int] = set()
         # The write observer that keeps both caches honest is installed
         # lazily, at the first decode: before anything is decoded both
@@ -221,17 +213,15 @@ class Cpu:
 
     # -- decoded-instruction cache -----------------------------------------
     def invalidate_decode_cache(self) -> None:
-        """Drop every cached decode (call after out-of-band code edits).
+        """Drop every cached decode and translated block.
 
-        Translated blocks are retired to a revival pool rather than
-        destroyed: each holds a fingerprint of the code bytes it was
-        compiled from, so the next execution revives it for free when
-        the edit did not actually touch its code (the common case for
-        region-level corruption hitting data, not text).
+        Call after out-of-band code edits.  Re-decoding is a lookup in
+        the shared decoded-instruction table, so the next dispatch only
+        recompiles each block's thunks.
         """
         self._decode_cache.clear()
         self._cache_lo = self._cache_hi = 0
-        self._retire_blocks()
+        self._drop_blocks()
 
     def _on_memory_write(self, address: int, width: int) -> None:
         # One range overlap test per store; a hit wipes the whole decode
@@ -279,25 +269,11 @@ class Cpu:
                 self._no_block.clear()
 
     # -- block cache bookkeeping -------------------------------------------
-    def _retire_blocks(self) -> None:
-        """Move every live block to the revival pool and clear the index."""
-        pool = self._block_pool
-        if len(pool) > _BLOCK_POOL_LIMIT:
-            pool.clear()
-        for start, block in self._block_cache.items():
-            block.valid = False
-            pool[start] = block
-        self._block_cache.clear()
-        self._block_index.clear()
-        self._blk_lo = self._blk_hi = 0
-        self._no_block.clear()
-
     def _drop_blocks(self) -> None:
-        """Destroy every block, pooled ones included (watch set changed)."""
+        """Destroy every translated block."""
         for block in self._block_cache.values():
             block.valid = False
         self._block_cache.clear()
-        self._block_pool.clear()
         self._block_index.clear()
         self._blk_lo = self._blk_hi = 0
         self._no_block.clear()
@@ -322,19 +298,6 @@ class Cpu:
         """Addresses currently excluded from block translation."""
         return frozenset(self._watch_pcs)
 
-    def _code_fingerprint(self, lo: int, hi: int) -> bytes:
-        """The raw code bytes in ``[lo, hi)`` (no read-counter traffic)."""
-        memory = self.memory
-        parts = []
-        address = lo
-        while address < hi:
-            region = memory.region_at(address, 1)
-            take = min(hi, region.end) - address
-            offset = address - region.base
-            parts.append(bytes(region._data[offset : offset + take]))
-            address += take
-        return b"".join(parts)
-
     def _install_block(self, block: _Block) -> None:
         self._block_cache[block.start] = block
         shift = MemoryMap.PAGE_SHIFT
@@ -352,20 +315,6 @@ class Cpu:
                 self._blk_lo = block.lo
             if block.hi > self._blk_hi:
                 self._blk_hi = block.hi
-
-    def _revive_block(self, pc: int) -> _Block | None:
-        block = self._block_pool.pop(pc, None)
-        if block is None:
-            return None
-        try:
-            fresh = self._code_fingerprint(block.lo, block.hi)
-        except MemoryFault:  # address space changed under the pool
-            return None
-        if fresh != block.fingerprint:
-            return None
-        block.valid = True
-        self._install_block(block)
-        return block
 
     # -- reset / power cycle -----------------------------------------------
     def reset(self, entry: int) -> None:
@@ -443,7 +392,7 @@ class Cpu:
         cached = self._decode_cache.get(pc)
         if cached is None:
             cached = self._decode_at(pc)
-        instruction, size, cycles = cached
+        instruction, size, cycles, _ = cached
         self.spend(cycles)
         next_pc = (pc + size) & WORD_MASK
         self._execute(instruction, next_pc)
@@ -452,14 +401,13 @@ class Cpu:
             self.coverage.record(self._registers[PC])
         return instruction
 
-    def _decode_at(self, pc: int) -> tuple[Instruction, int, int]:
+    def _decode_at(self, pc: int) -> tuple[Instruction, int, int, int]:
         if not self._observing:
             self.memory.write_observers.append(self._on_memory_write)
             self._observing = True
-        instruction, size = decode(self.memory.read_u16, pc)
-        cached = (instruction, size, instruction.cycles())
+        cached = decode_entry(self.memory.read_u16, pc)
         self._decode_cache[pc] = cached
-        end = pc + size
+        end = pc + cached[1]
         if self._cache_lo == self._cache_hi:  # first entry
             self._cache_lo, self._cache_hi = pc, end
         else:
@@ -496,15 +444,13 @@ class Cpu:
             if pc in self._no_block:
                 self.step()
                 return 1
-            block = self._revive_block(pc)
+            block = self._translate(pc)
             if block is None:
-                block = self._translate(pc)
-                if block is None:
-                    self._no_block.add(pc)
-                    self.step()
-                    return 1
-                self.blocks_translated += 1
-                self._install_block(block)
+                self._no_block.add(pc)
+                self.step()
+                return 1
+            self.blocks_translated += 1
+            self._install_block(block)
         thunks = block.thunks
         guard = self.block_guard
         if (limit is not None and limit < len(thunks)) or (
@@ -559,12 +505,12 @@ class Cpu:
                     cached = self._decode_at(at)
                 except (DecodeError, MemoryFault):
                     break
-            ins, size, cycles = cached
+            ins, size, cycles, worst_cycles = cached
             if ins.op in _UNTRANSLATABLE_OPS:
                 break
             npc = (at + size) & WORD_MASK
             thunks.append(self._compile_thunk(ins, npc, cycles))
-            worst += worst_case_cycles(ins)
+            worst += worst_cycles
             at += size
             if ins.op in _TERMINAL_OPS or self._writes_control_reg(ins):
                 break
@@ -581,7 +527,6 @@ class Cpu:
         block.thunks = tuple(thunks)
         block.worst_cycles = worst
         block.valid = True
-        block.fingerprint = self._code_fingerprint(start, at)
         # Fall-through PC after the final thunk.  Only the last
         # instruction of a block can transfer control (everything
         # earlier is non-terminal by construction), so "PC != end_pc

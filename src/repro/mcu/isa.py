@@ -258,6 +258,79 @@ class DecodeError(Exception):
     """The word stream is not a valid instruction encoding."""
 
 
+#: Opcode and addressing-mode field values that name a real encoding.
+_OPCODES = frozenset(int(op) for op in Op)
+_MODES = frozenset(int(mode) for mode in Mode)
+
+# The process-wide decoded-instruction table.  ``decode`` is a pure
+# function of an instruction's code words, so every CPU in the process
+# shares one decoded form per encoding, keyed by content:
+# ``(word0, word1, src_ext, dst_ext)``, where an absent extension word
+# reads 0 (``word0`` says which ones exist, so the key is unambiguous).
+# A content key cannot go stale: rewritten code is a different key.
+# Only encodings that passed every validity check are stored, so a bad
+# one raises afresh, naming its own address, on every decode.
+_DECODED_LIMIT = 4096
+_decoded: dict[tuple[int, int, int, int], tuple[Instruction, int, int, int]] = {}
+
+
+def decode_entry(fetch, address: int) -> tuple[Instruction, int, int, int]:
+    """Decode one instruction through the shared decoded-instruction table.
+
+    Every word is fetched, in address order and after the checks on the
+    words before it, whether or not the table already holds the
+    encoding: ``fetch`` side effects and :class:`DecodeError` texts do
+    not depend on what earlier decodes left in the table.  Returns
+    ``(instruction, size_bytes, cycles, worst_cycles)``, the last two
+    being ``instruction.cycles()`` and :func:`worst_case_cycles`.
+    """
+    word0 = fetch(address)
+    opcode = (word0 >> 8) & 0xFF
+    if opcode not in _OPCODES:
+        raise DecodeError(f"invalid opcode 0x{opcode:02X} at 0x{address:04X}")
+    src_mode = (word0 >> 4) & 0xF
+    dst_mode = word0 & 0xF
+    if src_mode not in _MODES or dst_mode not in _MODES:
+        raise DecodeError(
+            f"invalid addressing mode in word 0x{word0:04X} at 0x{address:04X}"
+        )
+    word1 = fetch(address + 2)
+    src_reg = (word1 >> 8) & 0xFF
+    dst_reg = word1 & 0xFF
+    if src_reg >= NUM_REGISTERS or dst_reg >= NUM_REGISTERS:
+        raise DecodeError(f"register number out of range at 0x{address:04X}")
+    offset = address + 4
+    src_value = dst_value = 0
+    if src_mode in _EXTENDED_MODES:
+        src_value = fetch(offset)
+        offset += 2
+    if dst_mode in _EXTENDED_MODES:
+        dst_value = fetch(offset)
+        offset += 2
+    key = (word0, word1, src_value, dst_value)
+    entry = _decoded.get(key)
+    if entry is not None:
+        return entry
+    try:
+        instruction = Instruction(
+            op=Op(opcode),
+            src=Operand(Mode(src_mode), reg=src_reg, value=src_value),
+            dst=Operand(Mode(dst_mode), reg=dst_reg, value=dst_value),
+        )
+    except ValueError as exc:
+        raise DecodeError(f"malformed instruction at 0x{address:04X}: {exc}") from exc
+    entry = (
+        instruction,
+        offset - address,
+        instruction.cycles(),
+        worst_case_cycles(instruction),
+    )
+    if len(_decoded) >= _DECODED_LIMIT:
+        _decoded.clear()
+    _decoded[key] = entry
+    return entry
+
+
 def decode(fetch, address: int) -> tuple[Instruction, int]:
     """Decode one instruction.
 
@@ -273,43 +346,8 @@ def decode(fetch, address: int) -> tuple[Instruction, int]:
     -------
     ``(instruction, size_bytes)``.
     """
-    word0 = fetch(address)
-    opcode = (word0 >> 8) & 0xFF
-    try:
-        op = Op(opcode)
-    except ValueError:
-        raise DecodeError(
-            f"invalid opcode 0x{opcode:02X} at 0x{address:04X}"
-        ) from None
-    try:
-        src_mode = Mode((word0 >> 4) & 0xF)
-        dst_mode = Mode(word0 & 0xF)
-    except ValueError:
-        raise DecodeError(
-            f"invalid addressing mode in word 0x{word0:04X} at 0x{address:04X}"
-        ) from None
-    word1 = fetch(address + 2)
-    src_reg = (word1 >> 8) & 0xFF
-    dst_reg = word1 & 0xFF
-    if src_reg >= NUM_REGISTERS or dst_reg >= NUM_REGISTERS:
-        raise DecodeError(f"register number out of range at 0x{address:04X}")
-    offset = address + 4
-    src_value = dst_value = 0
-    if src_mode in _EXTENDED_MODES:
-        src_value = fetch(offset)
-        offset += 2
-    if dst_mode in _EXTENDED_MODES:
-        dst_value = fetch(offset)
-        offset += 2
-    try:
-        instruction = Instruction(
-            op=op,
-            src=Operand(src_mode, reg=src_reg, value=src_value),
-            dst=Operand(dst_mode, reg=dst_reg, value=dst_value),
-        )
-    except ValueError as exc:
-        raise DecodeError(f"malformed instruction at 0x{address:04X}: {exc}") from exc
-    return instruction, offset - address
+    instruction, size, _, _ = decode_entry(fetch, address)
+    return instruction, size
 
 
 # -- worst-case cycle bounds -------------------------------------------------

@@ -443,9 +443,10 @@ def restore(
     # The environment (clock, power state, source attributes) changed
     # behind the caches' invalidation hooks: drop the device's memoized
     # spend window so batched energy accounting re-derives itself from
-    # the restored state.  Translated blocks were already retired to the
-    # CPU's revival pool by ``invalidate_decode_cache`` above; the next
-    # dispatch revives each one iff its code bytes are still identical —
-    # the "cheaply rebuild" half of the snapshot contract.
+    # the restored state.  Translated blocks were already dropped by
+    # ``invalidate_decode_cache`` above; the next dispatch recompiles
+    # them from the process-wide decoded-instruction table, which is
+    # keyed by code content and so survives the restore — the "cheaply
+    # rebuild" half of the snapshot contract.
     power.invalidate_env()
     device.invalidate_energy_window()

@@ -122,7 +122,7 @@ class TestDirectives:
         program = assemble("a: .word 1, 2, 3\nstart: nop")
         base = program.symbols["a"]
         index = (base - program.origin) // 2
-        assert program.words[index : index + 3] == [1, 2, 3]
+        assert program.words[index : index + 3] == (1, 2, 3)
 
     def test_space_reserves_zeroed_bytes(self):
         program = assemble("buf: .space 8\nstart: nop")

@@ -13,9 +13,9 @@ FRAM-resident code, brown-outs landing mid-block under an intermittent
 supply, and forced deoptimization of every guard.
 
 What is deliberately *not* compared: per-region read counters.  Block
-translation decodes ahead of execution (and revival fingerprints reread
-code bytes), so instrumentation-level read counts legitimately differ
-while every architecturally visible bit stays equal.
+translation decodes ahead of execution, so instrumentation-level read
+counts legitimately differ while every architecturally visible bit
+stays equal.
 """
 
 from __future__ import annotations
