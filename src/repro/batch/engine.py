@@ -15,9 +15,9 @@ At every boot boundary (an organic brown-out parks the leader via a
 work count against every live lane's schedule.  Lanes whose schedule
 fired inside the boot just finished are **peeled**: they re-enter the
 scalar path by restoring the snapshot taken when that boot began, with
-their real injector installed and its progress counters synthesized
-from the recorder state — bit-identical to a from-reset run arriving at
-the same boundary.  Lanes whose schedules never fire are **clones**:
+their real injector installed and its boot index synthesized from the
+recorder state — bit-identical to a from-reset run arriving at the same
+boundary.  Lanes whose schedules never fire are **clones**:
 their observation *is* the leader's, by construction.
 
 Peeling is always safe (the peeled leg replays exactly); only the clone
@@ -158,16 +158,14 @@ def execute_batch_group(
     except BaseException:
         return None
 
-    tracker = recorder = injector = watchdog = None
-    pauser = None
     try:
         tracker = DirtyTracker(target.memory)
         recorder = RebootRecorder(target)
         # The real injector class with an empty schedule: inert during
-        # the leader run, but its hooks claim the same list positions a
-        # from-reset leg gives them (recorder, injector, watchdog), and
-        # in commit mode its passive ``writes_seen`` tally doubles as
-        # the leader's FRAM write counter.
+        # the leader run, but its hooks and watch claim the same
+        # positions a from-reset leg gives them (recorder, injector,
+        # watchdog), and in commit mode its passive ``writes_seen``
+        # tally doubles as the leader's FRAM write counter.
         if mode == "commit_boundary":
             injector = CommitBoundaryTrigger(target, [])
         else:
@@ -192,9 +190,8 @@ def execute_batch_group(
             )
 
         def boundary() -> tuple[int, int, int]:
-            completed, boot_ops, _started = recorder.export_state()
             writes = injector.writes_seen if mode == "commit_boundary" else 0
-            return len(completed), boot_ops, writes
+            return len(recorder.schedule()), target.boot_units, writes
 
         # ``node`` is always the snapshot taken as the *current* boot
         # began (node 0 = the post-flash state, before boot 0); a lane
@@ -274,7 +271,6 @@ def execute_batch_group(
         # The pause hook must not outlive the leader: forced brown-outs
         # during replays transition the power state too.
         target.power.on_power_change.remove(pauser)
-        pauser = None
         # Replays restore-and-zero the device tier counters, so harvest
         # the leader's tallies before the first restore.
         _harvest_tier_stats(target)
@@ -295,11 +291,10 @@ def execute_batch_group(
             else:
                 injector.schedule = [int(n) for n in plan.ops_schedule]
                 # Synthesize from the recorder: a from-reset injector at
-                # this boundary has consumed len(completed) reboots and
-                # counted the in-flight boot's work units.
-                completed, boot_ops, started = rec_state
+                # this boundary has consumed len(completed) reboots.
+                completed, started = rec_state
                 injector.restore_state(
-                    (len(completed), boot_ops, 0) if started else (-1, 0, 0)
+                    (len(completed), 0) if started else (-1, 0)
                 )
             watchdog.rearm_wall()
             sim.clear_stop()
@@ -376,14 +371,3 @@ def execute_batch_group(
         raise
     except BaseException:
         return None
-    finally:
-        if pauser is not None and pauser in target.power.on_power_change:
-            target.power.on_power_change.remove(pauser)
-        if tracker is not None:
-            tracker.remove()
-        if recorder is not None:
-            recorder.remove()
-        if injector is not None:
-            injector.remove()
-        if watchdog is not None:
-            watchdog.remove()

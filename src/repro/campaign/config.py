@@ -71,8 +71,8 @@ class CampaignConfig:
         every time, so reports stay byte-identical.
     max_wall_s:
         Watchdog: wall-clock budget, enforced per leg by a cheap
-        monotonic poll in the post-work hook and per run by a SIGALRM
-        alarm where available (0 = off).  Inherently non-deterministic;
+        monotonic poll every 512 work units (a device watch) and per
+        run by a SIGALRM alarm where available (0 = off).  Inherently non-deterministic;
         use as a generous backstop, not a tuning knob.
     max_retries:
         Supervision: how many *solo* worker-loss failures a chunk may

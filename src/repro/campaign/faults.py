@@ -7,22 +7,23 @@ Plans are drawn from a per-run ``random.Random`` seeded by
 :func:`repro.sim.rng.derive_seed`, so a campaign is replayable run by
 run from its master seed alone.
 
-The injectors translate a plan into device hooks:
+The injectors translate a plan into device watches and hooks:
 
 - :class:`ScheduledBrownouts` — force a brown-out after an exact count
   of completed work units on each boot (the op-index axis, and the
-  replay substrate the shrinker uses on a bench supply);
+  replay substrate the shrinker uses on a bench supply): a per-boot
+  unit deadline;
 - :class:`EnergyLevelTrigger` — force a brown-out the first time the
-  capacitor sags below a chosen voltage (placement follows the energy
-  trajectory rather than the instruction stream);
+  capacitor sags to a chosen voltage (placement follows the energy
+  trajectory rather than the instruction stream): a Vcap watch level;
 - :class:`CommitBoundaryTrigger` — force a brown-out immediately after
   the N-th non-volatile write (failures land right at FRAM commit
   boundaries, the adversarial placement for checkpoint/commit code);
 - :class:`StateCorruptor` — flip bits in the app's protected FRAM
   ranges at chosen boots (post-commit corruption);
-- :class:`RebootRecorder` — passively record completed work units per
-  boot, turning *any* run (organic or injected) into a replayable
-  brown-out schedule.
+- :class:`RebootRecorder` — passively record the device's work-unit
+  count of every finished boot, turning *any* run (organic or
+  injected) into a replayable brown-out schedule.
 
 All forced brown-outs go through
 :meth:`repro.power.supply.PowerSystem.force_brownout`, so the program
@@ -35,7 +36,7 @@ import random
 from dataclasses import dataclass
 
 from repro.campaign.config import CampaignConfig
-from repro.mcu.device import TargetDevice
+from repro.mcu.device import NEVER, TargetDevice
 from repro.mcu.memory import FRAM_BASE, FRAM_SIZE
 
 
@@ -122,13 +123,14 @@ def plan_faults(config: CampaignConfig, rng: random.Random) -> FaultPlan:
 
 
 class _Injector:
-    """Hook bookkeeping shared by the injectors below.
+    """Shared base of the injectors below.
 
     Injector counters are *simulated-world* state: a mid-run snapshot
     that omitted them would resume with a desynchronized schedule.
     Each injector therefore exposes ``export_state``/``restore_state``
     (plain tuples, no device references) that the snapshot layer's
-    callers carry alongside a :class:`repro.snapshot.DeviceSnapshot`.
+    callers carry alongside a :class:`repro.snapshot.DeviceSnapshot`
+    (which itself carries the device's work-unit counts).
     """
 
     def __init__(self, device: TargetDevice) -> None:
@@ -145,46 +147,43 @@ class ScheduledBrownouts(_Injector):
 
     Boot counting starts at the first reboot *after* installation, so
     installing post-flash never misattributes flash-time work.  Boots
-    beyond the schedule run free.
+    beyond the schedule run free, and an entry below 1 never fires.
     """
 
     def __init__(self, device: TargetDevice, schedule: list[int]) -> None:
         super().__init__(device)
         self.schedule = [int(n) for n in schedule]
         self._boot = -1
-        self._ops = 0
+        self._watch = device.watch(self._fire)
         device.on_reboot.append(self._on_reboot)
-        device.post_work_hooks.append(self._hook)
 
     def _on_reboot(self, count: int) -> None:
         self._boot += 1
-        self._ops = 0
+        self._arm(self.device.work_units)
 
-    def _hook(self) -> None:
-        if not 0 <= self._boot < len(self.schedule):
-            return
-        self._ops += 1
-        if self._ops == self.schedule[self._boot]:
-            self._force()
+    def _arm(self, boot_start: int) -> None:
+        """Arm this boot's deadline unless it is out of reach."""
+        at = NEVER
+        if 0 <= self._boot < len(self.schedule):
+            at = boot_start + self.schedule[self._boot]
+        self._watch.arm(at if at > self.device.work_units else NEVER)
+
+    def _fire(self) -> None:
+        self._watch.disarm()
+        self._force()
 
     def export_state(self) -> tuple:
         """Snapshot-able progress state (see :class:`_Injector`)."""
-        return (self._boot, self._ops, self.injections)
+        return (self._boot, self.injections)
 
     def restore_state(self, state: tuple) -> None:
         """Rewind to a previously exported progress state."""
-        self._boot, self._ops, self.injections = state
-
-    def remove(self) -> None:
-        """Uninstall both hooks."""
-        if self._on_reboot in self.device.on_reboot:
-            self.device.on_reboot.remove(self._on_reboot)
-        if self._hook in self.device.post_work_hooks:
-            self.device.post_work_hooks.remove(self._hook)
+        self._boot, self.injections = state
+        self._arm(self.device.work_units - self.device.boot_units)
 
 
 class EnergyLevelTrigger(_Injector):
-    """Brown out when the capacitor first sags below each level in turn.
+    """Brown out when the capacitor first sags to each level in turn.
 
     Each level fires once, in sequence — the k-th trigger places the
     k-th failure on the energy trajectory rather than at an instruction
@@ -195,14 +194,20 @@ class EnergyLevelTrigger(_Injector):
         super().__init__(device)
         self.levels = [float(v) for v in levels]
         self._index = 0
-        device.post_work_hooks.append(self._hook)
+        self._watch = device.watch(self._fire)
+        self._arm()
 
-    def _hook(self) -> None:
-        if self._index >= len(self.levels):
-            return
+    def _arm(self) -> None:
+        if self._index < len(self.levels):
+            self._watch.arm(vcap=self.levels[self._index])
+        else:
+            self._watch.disarm()
+
+    def _fire(self) -> None:
         power = self.device.power
         if power.is_on and power.vcap <= self.levels[self._index]:
             self._index += 1
+            self._arm()
             self._force()
 
     def export_state(self) -> tuple:
@@ -212,11 +217,7 @@ class EnergyLevelTrigger(_Injector):
     def restore_state(self, state: tuple) -> None:
         """Rewind to a previously exported progress state."""
         self._index, self.injections = state
-
-    def remove(self) -> None:
-        """Uninstall the hook."""
-        if self._hook in self.device.post_work_hooks:
-            self.device.post_work_hooks.remove(self._hook)
+        self._arm()
 
 
 class CommitBoundaryTrigger(_Injector):
@@ -253,11 +254,6 @@ class CommitBoundaryTrigger(_Injector):
     def restore_state(self, state: tuple) -> None:
         """Rewind to a previously exported progress state."""
         self._index, self.writes_seen, self.injections = state
-
-    def remove(self) -> None:
-        """Uninstall the observer."""
-        if self._observer in self.device.memory.write_observers:
-            self.device.memory.write_observers.remove(self._observer)
 
 
 class StateCorruptor:
@@ -321,11 +317,6 @@ class StateCorruptor:
         self._boot = boot
         self.applied = list(applied)
 
-    def remove(self) -> None:
-        """Uninstall the hook."""
-        if self._on_reboot in self.device.on_reboot:
-            self.device.on_reboot.remove(self._on_reboot)
-
 
 class RebootRecorder:
     """Record completed work units per boot — the replayable schedule.
@@ -338,19 +329,13 @@ class RebootRecorder:
     def __init__(self, device: TargetDevice) -> None:
         self.device = device
         self._completed: list[int] = []
-        self._ops = 0
         self._started = False
         device.on_reboot.append(self._on_reboot)
-        device.post_work_hooks.append(self._hook)
 
     def _on_reboot(self, count: int) -> None:
         if self._started:
-            self._completed.append(self._ops)
+            self._completed.append(self.device.boot_units)
         self._started = True
-        self._ops = 0
-
-    def _hook(self) -> None:
-        self._ops += 1
 
     def schedule(self) -> list[int]:
         """Ops-per-boot for every brown-out-terminated boot so far."""
@@ -358,18 +343,9 @@ class RebootRecorder:
 
     def export_state(self) -> tuple:
         """Snapshot-able progress state (see :class:`_Injector`)."""
-        return (tuple(self._completed), self._ops, self._started)
+        return (tuple(self._completed), self._started)
 
     def restore_state(self, state: tuple) -> None:
         """Rewind to a previously exported progress state."""
-        completed, ops, started = state
+        completed, self._started = state
         self._completed = list(completed)
-        self._ops = ops
-        self._started = started
-
-    def remove(self) -> None:
-        """Uninstall both hooks."""
-        if self._on_reboot in self.device.on_reboot:
-            self.device.on_reboot.remove(self._on_reboot)
-        if self._hook in self.device.post_work_hooks:
-            self.device.post_work_hooks.remove(self._hook)

@@ -186,8 +186,9 @@ class ForkSession:
     previous capture.
 
     Construction mirrors the from-reset legs hook-for-hook (recorder,
-    then injector, then watchdog) so the post-work and reboot hook
-    orders — which are behaviourally significant — match exactly.
+    then injector, then watchdog) so the reboot-hook order and the
+    watch firing order — which are behaviourally significant — match
+    exactly.
     """
 
     def __init__(
@@ -299,14 +300,6 @@ class ForkSession:
             return self.injector._index
         return self.injector._boot + 1
 
-    def close(self) -> None:
-        """Uninstall every hook the session holds (idempotent)."""
-        self.tracker.remove()
-        self.injector.remove()
-        if self.recorder is not None:
-            self.recorder.remove()
-        self.watchdog.remove()
-
     # -- execution ---------------------------------------------------------
     def execute(
         self, schedule
@@ -327,11 +320,11 @@ class ForkSession:
                 break
         snap, inj_state, rec_state, prog_state, meta = self._chain[prefix]
         restore(self.target, snap, self.tracker)
+        self._set_schedule(key)
         self.injector.restore_state(inj_state)
         if self.recorder is not None:
             self.recorder.restore_state(rec_state)
         _restore_program_state(self.program, prog_state)
-        self._set_schedule(key)
         self.watchdog.rearm_wall()
         self.sim.clear_stop()
         boots, faults, first_fault = meta
@@ -487,44 +480,41 @@ def _execute_group(
     except BaseException:
         fallback = pending
     if session is not None:
-        try:
-            for position, (index, run_seed, plan) in enumerate(pending):
-                try:
-                    with time_limit(config.max_wall_s):
-                        intermittent, schedule, injected = session.execute(
-                            _schedule_of(plan)
-                        )
-                        continuous = continuous_observation(
-                            config, adapter, derive_seed(run_seed, "continuous")
-                        )
-                except KeyboardInterrupt:
-                    raise
-                except BaseException:
-                    # Session state is suspect after any failure: this
-                    # member and the rest of the group replay from reset.
-                    fallback = pending[position:]
-                    break
-                verdict = compare(
-                    intermittent, continuous, adapter.invariant_keys
-                )
-                records[index] = {
-                    "index": index,
-                    "seed": run_seed,
-                    "plan": plan.to_dict(),
-                    "injected_reboots": injected,
-                    "observed_schedule": schedule,
-                    "intermittent": intermittent.to_dict(),
-                    "continuous": continuous.to_dict(),
-                    "verdict": verdict.to_dict(),
-                }
-            if not session.rng_untouched:
-                # The honesty invariant failed: some draw made the
-                # trajectory depend on the borrowed seed.  Nothing the
-                # session produced can be trusted.
-                records.clear()
-                fallback = list(pending)
-        finally:
-            session.close()
+        for position, (index, run_seed, plan) in enumerate(pending):
+            try:
+                with time_limit(config.max_wall_s):
+                    intermittent, schedule, injected = session.execute(
+                        _schedule_of(plan)
+                    )
+                    continuous = continuous_observation(
+                        config, adapter, derive_seed(run_seed, "continuous")
+                    )
+            except KeyboardInterrupt:
+                raise
+            except BaseException:
+                # Session state is suspect after any failure: this
+                # member and the rest of the group replay from reset.
+                fallback = pending[position:]
+                break
+            verdict = compare(
+                intermittent, continuous, adapter.invariant_keys
+            )
+            records[index] = {
+                "index": index,
+                "seed": run_seed,
+                "plan": plan.to_dict(),
+                "injected_reboots": injected,
+                "observed_schedule": schedule,
+                "intermittent": intermittent.to_dict(),
+                "continuous": continuous.to_dict(),
+                "verdict": verdict.to_dict(),
+            }
+        if not session.rng_untouched:
+            # The honesty invariant failed: some draw made the
+            # trajectory depend on the borrowed seed.  Nothing the
+            # session produced can be trusted.
+            records.clear()
+            fallback = list(pending)
     for index, _, _ in fallback:
         records[index] = execute_run_safe(config, index, snapshot=True)
     return records

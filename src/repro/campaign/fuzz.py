@@ -575,45 +575,42 @@ def _execute_fuzz_group(
     except BaseException:
         fallback = pending
     if session is not None:
-        try:
-            for position, job in enumerate(pending):
-                run_seed = derive_seed(config.seed, "run", job["index"])
-                try:
-                    with time_limit(config.max_wall_s):
-                        intermittent, schedule, injected = session.execute(
-                            job["schedule"]
-                        )
-                        recorder = session.target.cpu.coverage
-                        coverage = (
-                            list(recorder.blocks()), recorder.signature(),
-                        )
-                        continuous = _fuzz_continuous_leg(
-                            config, bound,
-                            derive_seed(run_seed, "continuous"),
-                            snapshot=True,
-                        )
-                except KeyboardInterrupt:
-                    raise
-                except BaseException:
-                    # Session state is suspect after any failure: this
-                    # member and the rest of the group replay from reset.
-                    fallback = pending[position:]
-                    break
-                verdict = compare(
-                    intermittent, continuous, bound.invariant_keys
-                )
-                records[job["index"]] = _fuzz_record(
-                    job, run_seed, fuzz_plan(config, job["schedule"]),
-                    injected, schedule, intermittent, continuous, verdict,
-                    coverage,
-                )
-            if not session.rng_untouched:
-                # Some draw made the trajectory depend on the borrowed
-                # seed: nothing the session produced can be trusted.
-                records.clear()
-                fallback = list(pending)
-        finally:
-            session.close()
+        for position, job in enumerate(pending):
+            run_seed = derive_seed(config.seed, "run", job["index"])
+            try:
+                with time_limit(config.max_wall_s):
+                    intermittent, schedule, injected = session.execute(
+                        job["schedule"]
+                    )
+                    recorder = session.target.cpu.coverage
+                    coverage = (
+                        list(recorder.blocks()), recorder.signature(),
+                    )
+                    continuous = _fuzz_continuous_leg(
+                        config, bound,
+                        derive_seed(run_seed, "continuous"),
+                        snapshot=True,
+                    )
+            except KeyboardInterrupt:
+                raise
+            except BaseException:
+                # Session state is suspect after any failure: this
+                # member and the rest of the group replay from reset.
+                fallback = pending[position:]
+                break
+            verdict = compare(
+                intermittent, continuous, bound.invariant_keys
+            )
+            records[job["index"]] = _fuzz_record(
+                job, run_seed, fuzz_plan(config, job["schedule"]),
+                injected, schedule, intermittent, continuous, verdict,
+                coverage,
+            )
+        if not session.rng_untouched:
+            # Some draw made the trajectory depend on the borrowed
+            # seed: nothing the session produced can be trusted.
+            records.clear()
+            fallback = list(pending)
     for job in fallback:
         records[job["index"]] = execute_fuzz_run_safe(
             config, job, snapshot=True

@@ -200,10 +200,9 @@ def replay_with_schedule(
     program = adapter.build(config.protect, config.iterations)
     executor = IntermittentExecutor(sim, target, program)
     executor.flash()
-    injector = ScheduledBrownouts(target, list(schedule))
+    ScheduledBrownouts(target, list(schedule))
     with RunWatchdog(target, config.max_cycles, config.max_wall_s):
         result = executor.run(duration=config.duration, stop_on_fault=True)
-    injector.remove()
     _harvest_tier_stats(target)
     return _observation(result, adapter.observe(program, executor.api))
 

@@ -404,39 +404,34 @@ def _shrink_pass(
             session = ForkSession.for_replay(config, adapter)
         except Exception:
             session = None
-    try:
-        for record in diverging:
-            def still_fails(candidate: list[int]) -> bool:
-                nonlocal session
-                if session is not None:
-                    try:
-                        observation, _, _ = session.execute(candidate)
-                        if session.rng_untouched:
-                            return compare(
-                                observation, continuous, adapter.invariant_keys
-                            ).diverged
-                    except KeyboardInterrupt:
-                        raise
-                    except BaseException:
-                        pass
-                    # Session state is suspect (a replay raised) or the
-                    # zero-RNG invariant broke: retire the session and
-                    # replay this and all later probes from reset.
-                    session.close()
-                    session = None
-                return verdict_for_schedule(
-                    config, adapter, continuous, candidate
-                ).diverged
+    for record in diverging:
+        def still_fails(candidate: list[int]) -> bool:
+            nonlocal session
+            if session is not None:
+                try:
+                    observation, _, _ = session.execute(candidate)
+                    if session.rng_untouched:
+                        return compare(
+                            observation, continuous, adapter.invariant_keys
+                        ).diverged
+                except KeyboardInterrupt:
+                    raise
+                except BaseException:
+                    pass
+                # Session state is suspect (a replay raised) or the
+                # zero-RNG invariant broke: retire the session and
+                # replay this and all later probes from reset.
+                session = None
+            return verdict_for_schedule(
+                config, adapter, continuous, candidate
+            ).diverged
 
-            minimal = shrink_schedule(record["observed_schedule"], still_fails)
-            record["shrunk"] = (
-                None
-                if minimal is None
-                else {"schedule": minimal, "reboots": len(minimal)}
-            )
-    finally:
-        if session is not None:
-            session.close()
+        minimal = shrink_schedule(record["observed_schedule"], still_fails)
+        record["shrunk"] = (
+            None
+            if minimal is None
+            else {"schedule": minimal, "reboots": len(minimal)}
+        )
 
 
 def _capture_pass(config: CampaignConfig, records: list[dict]) -> None:

@@ -6,15 +6,15 @@ watchdog covers both:
 - **Cycle budget** (`max_cycles`): the guest keeps executing — burning
   simulated cycles — but never completes and never browns out hard
   enough for the duration deadline to matter on wall-clock terms.  The
-  watchdog hooks the device's post-work chain and raises
-  :class:`~repro.sim.kernel.BudgetExceeded` the moment the leg's cycle
-  count crosses the budget.  Cycle counting is part of the simulation,
-  so a cycle-budget trip is **deterministic**: the same seed trips at
-  the same instruction every time, and reports stay byte-identical.
+  watchdog's device watch raises :class:`~repro.sim.kernel.BudgetExceeded`
+  after the first work unit that reaches the cycle deadline.  Cycle
+  counting is part of the simulation, so a cycle-budget trip is
+  **deterministic**: the same seed trips at the same instruction every
+  time, and reports stay byte-identical.
 - **Wall budget** (`max_wall_s`): the leg is burning *host* time.  Two
-  layers: the same post-work hook cheaply polls the monotonic clock
-  every few hundred work units (catches guests that execute slowly),
-  and :func:`repro.testing.time_limit` arms a SIGALRM alarm around the
+  layers: the same watch polls the monotonic clock every few hundred
+  work units (catches guests that execute slowly), and
+  :func:`repro.testing.time_limit` arms a SIGALRM alarm around the
   whole run (catches host-side livelocks that never execute guest work
   at all).  Wall trips are inherently non-deterministic; campaigns
   that need byte-identical reports use the cycle budget and keep the
@@ -29,21 +29,20 @@ from __future__ import annotations
 
 import time
 
-from repro.mcu.device import TargetDevice
+from repro.mcu.device import NEVER, TargetDevice
 from repro.sim.kernel import BudgetExceeded
 
-#: Post-work calls between monotonic-clock polls (a poll is ~100 ns;
-#: at any realistic op rate this bounds overshoot to well under 100 ms
-#: of host time per leg).
+#: Work units between monotonic-clock polls (a poll is ~100 ns; at any
+#: realistic op rate this bounds overshoot to well under 100 ms of host
+#: time per leg).
 _WALL_POLL_EVERY = 512
 
 
 class RunWatchdog:
     """Budget enforcement for one execution leg.
 
-    Installs a single post-work hook on ``device``; uninstall with
-    :meth:`remove` (or use as a context manager).  A zero/falsy budget
-    disables that axis.
+    Installs a single device watch; uninstall with :meth:`remove` (or
+    use as a context manager).  A zero/falsy budget arms no deadline.
     """
 
     def __init__(
@@ -55,50 +54,52 @@ class RunWatchdog:
         self.device = device
         self.max_cycles = int(max_cycles)
         self.max_wall_s = float(max_wall_s)
-        self._cycles_start = device.cycles_executed
-        self._wall_start = time.monotonic()
-        self._polls = 0
-        if self.max_cycles > 0 or self.max_wall_s > 0.0:
-            device.post_work_hooks.append(self._hook)
-
-    def _hook(self) -> None:
+        self._cycle_limit = NEVER
         if self.max_cycles > 0:
-            burned = self.device.cycles_executed - self._cycles_start
-            if burned >= self.max_cycles:
+            self._cycle_limit = device.cycles_executed + self.max_cycles
+        self._watch = device.watch(self._fire)
+        self.rearm_wall()
+
+    def _fire(self) -> None:
+        device = self.device
+        if device.cycles_executed >= self._cycle_limit:
+            raise BudgetExceeded(
+                f"simulated-cycle budget of {self.max_cycles} cycles "
+                f"exhausted",
+                budget="cycles",
+            )
+        if device.work_units >= self._watch.units:
+            self._arm_poll()
+            if time.monotonic() - self._wall_start >= self.max_wall_s:
                 raise BudgetExceeded(
-                    f"simulated-cycle budget of {self.max_cycles} cycles "
+                    f"wall-clock budget of {self.max_wall_s:g} s "
                     f"exhausted",
-                    budget="cycles",
+                    budget="wall",
                 )
-        if self.max_wall_s > 0.0:
-            self._polls += 1
-            if self._polls >= _WALL_POLL_EVERY:
-                self._polls = 0
-                if time.monotonic() - self._wall_start >= self.max_wall_s:
-                    raise BudgetExceeded(
-                        f"wall-clock budget of {self.max_wall_s:g} s "
-                        f"exhausted",
-                        budget="wall",
-                    )
+
+    def _arm_poll(self) -> None:
+        poll = self.device.work_units + _WALL_POLL_EVERY
+        self._watch.arm(
+            units=poll if self.max_wall_s > 0.0 else NEVER,
+            cycles=self._cycle_limit,
+        )
 
     def rearm_wall(self) -> None:
         """Restart the wall-clock budget from now.
 
         Snapshot/fork sessions keep one watchdog alive across many
         logical runs; each run gets a fresh wall budget (host-side
-        state, never captured in snapshots).  The cycle budget is
-        deliberately *not* re-anchored: ``cycles_executed`` is restored
-        by the device snapshot, so the original anchor already measures
-        exactly the cycles a from-reset run would have burned.
+        state).  The cycle budget is deliberately *not* re-anchored:
+        ``cycles_executed`` is restored by the device snapshot, so the
+        original anchor already measures exactly the cycles a
+        from-reset run would have burned.
         """
         self._wall_start = time.monotonic()
-        self._polls = 0
+        self._arm_poll()
 
     def remove(self) -> None:
-        """Uninstall the hook (idempotent)."""
-        hooks = self.device.post_work_hooks
-        if self._hook in hooks:
-            hooks.remove(self._hook)
+        """Uninstall the watch (idempotent)."""
+        self._watch.remove()
 
     def __enter__(self) -> "RunWatchdog":
         return self

@@ -117,7 +117,7 @@ class EDBBoard:
         device.uart.subscribe_tx(self._on_uart_byte)
         device.i2c.subscribe(self._on_i2c_txn)
         device.debug_uart.subscribe_tx(self._on_debug_byte)
-        device.post_work_hooks.append(self._service_pending)
+        self._pending_watch = device.watch(self._service_pending)
         self._leakage_event = self.sim.call_every(
             1.0 / self.leakage_update_rate, self._update_leakage
         )
@@ -130,8 +130,7 @@ class EDBBoard:
         device = self.device
         if self._on_code_marker in device.on_code_marker:
             device.on_code_marker.remove(self._on_code_marker)
-        if self._service_pending in device.post_work_hooks:
-            device.post_work_hooks.remove(self._service_pending)
+        self._pending_watch.remove()
         if self._leakage_event is not None:
             self._leakage_event.cancel()
             self._leakage_event = None
@@ -303,11 +302,13 @@ class EDBBoard:
             return
         bp = self.breakpoints.check_energy(event.value["vcap"])
         if bp is not None:
+            # The interrupt line: a unit deadline already reached, so
+            # the next counted work unit services the breakpoint.
             self._pending_energy_bp = bp
+            self._pending_watch.arm(units=0)
 
     def _service_pending(self) -> None:
-        if self._pending_energy_bp is None:
-            return
+        self._pending_watch.disarm()
         bp = self._pending_energy_bp
         self._pending_energy_bp = None
         self.service_breakpoint(bp, reason="energy_breakpoint")

@@ -88,6 +88,43 @@ class _SpendWindow:
     )
 
 
+#: An unarmed unit or cycle deadline: an int beyond any reachable count.
+NEVER = 1 << 62
+
+
+class Watch:
+    """A device-owned threshold; see :meth:`TargetDevice.watch`.
+
+    Fires after a work unit once the device's total work units reach
+    ``units``, ``cycles_executed`` reaches ``cycles``, or Vcap is at or
+    below ``vcap``.  It stays armed until re-armed or disarmed.
+    """
+
+    __slots__ = ("_device", "callback", "units", "cycles", "vcap")
+
+    def __init__(self, device: "TargetDevice", callback: Callable[[], None]):
+        self._device = device
+        self.callback = callback
+        self.arm()
+
+    def arm(
+        self, units: int = NEVER, cycles: int = NEVER, vcap: float = -math.inf
+    ) -> None:
+        """Set all three triggers; omitted ones are disarmed."""
+        self.units, self.cycles, self.vcap = units, cycles, vcap
+        self._device._rearm()
+
+    def disarm(self) -> None:
+        """Disarm all triggers; the watch stays installed."""
+        self.arm()
+
+    def remove(self) -> None:
+        """Uninstall from the device (idempotent)."""
+        if self in self._device._watches:
+            self._device._watches.remove(self)
+            self._device._rearm()
+
+
 class TargetDevice:
     """A WISP-class energy-harvesting target.
 
@@ -167,11 +204,15 @@ class TargetDevice:
         # Observers of power-failure resets (fault injectors re-arm
         # their per-boot schedules here; recorders log boot boundaries).
         self.on_reboot: list[Callable[[int], None]] = []
-        # Hooks run after each unit of work completes (an attached
-        # debugger services pending energy breakpoints here, mimicking
-        # its interrupt line).  Guarded against re-entrancy.
-        self.post_work_hooks: list[Callable[[], None]] = []
-        self._in_hook = False
+        # Work units: completed execute_cycles/sleep calls outside a
+        # watch callback, in total and since the current boot began.
+        self.work_units = 0
+        self._boot_start_units = 0
+        # Watches (see watch()) and the nearest of their triggers.
+        self._watches: list[Watch] = []
+        self._firing = False
+        self._unit_deadline = self._cycle_deadline = NEVER
+        self._vcap_level = -math.inf
 
     # -- work -> time + energy ------------------------------------------------
     @property
@@ -220,9 +261,10 @@ class TargetDevice:
         from memoized constants, valid only inside a window where
         nothing can observe or perturb the trajectory: no scheduled
         event due, no source condition change (``hold_until``), no
-        comparator transition (the committed voltage stays at or above
-        ``floor``).  Anything else falls through to the historical
-        one-call-at-a-time path, which also (re)builds the window.
+        comparator transition and no Vcap watch reached (the committed
+        voltage stays at or above ``floor``).  Anything else falls
+        through to the historical one-call-at-a-time path, which also
+        (re)builds the window.
         """
         fw = self._spend_window
         if fw is not None and extra_current == 0.0 and cycles > 0:
@@ -328,28 +370,34 @@ class TargetDevice:
                                 )
                                 if drained > 0.0:
                                     self.energy_consumed += drained
-                                if self.post_work_hooks and not self._in_hook:
-                                    self._in_hook = True
-                                    try:
-                                        for hook in self.post_work_hooks:
-                                            hook()
-                                    finally:
-                                        self._in_hook = False
+                                units = self.work_units + 1
+                                self.work_units = units
+                                if (
+                                    units >= self._unit_deadline
+                                    or self.cycles_executed
+                                    >= self._cycle_deadline
+                                ):
+                                    self._fire_watches()
                                 return
         self._execute_cycles_slow(cycles, extra_current)
 
     def _execute_cycles_slow(self, cycles: int, extra_current: float) -> None:
         if cycles < 0:
             raise ValueError(f"cycles must be non-negative (got {cycles})")
-        if self._stop_after is not None and self.sim.now >= self._stop_after:
-            raise ExecutionLimit(f"deadline {self._stop_after:.6f} s reached")
-        self._check_power()
-        dt = cycles * self._cycle_time
         current = (
             self._static_current
             + self.gpio.total_load_current()
             + extra_current
         )
+        self._step(cycles * self._cycle_time, current, cycles)
+        self._refresh_spend_window()
+        self._unit_done()
+
+    def _step(self, dt: float, current: float, cycles: int = 0) -> None:
+        """Advance ``dt`` at ``current`` one supply step at a time."""
+        if self._stop_after is not None and self.sim.now >= self._stop_after:
+            raise ExecutionLimit(f"deadline {self._stop_after:.6f} s reached")
+        self._check_power()
         # Inline of capacitor.energy (0.5 * C * V * V, the exact
         # cap_energy expression): this runs twice per unit of work and
         # the property + helper call overhead dominates it.
@@ -357,27 +405,13 @@ class TargetDevice:
         v = capacitor._voltage
         energy_before = 0.5 * capacitor.capacitance * v * v
         self.sim.advance(dt)
-        powered = self.power.step(dt, current)
+        self.power.step(dt, current)
         self.cycles_executed += cycles
         v = capacitor._voltage
         drained = energy_before - 0.5 * capacitor.capacitance * v * v
         if drained > 0.0:
             self.energy_consumed += drained
-        if not powered:
-            raise PowerFailure(
-                f"brown-out at {self.sim.now * 1e3:.3f} ms "
-                f"(Vcap = {self.power.vcap:.3f} V)",
-                vcap=self.power.vcap,
-                at=self.sim.now,
-            )
-        self._refresh_spend_window()
-        if self.post_work_hooks and not self._in_hook:
-            self._in_hook = True
-            try:
-                for hook in self.post_work_hooks:
-                    hook()
-            finally:
-                self._in_hook = False
+        self._check_power()
 
     def _spend_window_live(self, fw: _SpendWindow) -> bool:
         """Whether an existing window is still trustworthy right now."""
@@ -420,6 +454,10 @@ class TargetDevice:
         if probe is None:
             return None
         voc, rs, bound, floor = probe
+        if self._vcap_level > floor:
+            # The next float above the Vcap watch level: a step that
+            # reaches the level always takes the slow path.
+            floor = math.nextafter(self._vcap_level, math.inf)
         gpio_load = self.gpio.total_load_current()
         # The slow path computes ((static + gpio) + extra); the fast
         # path only engages for extra == 0.0, and x + 0.0 == x bitwise
@@ -460,6 +498,57 @@ class TargetDevice:
         fw.leak_tau = leak_r * cap if leak_r is not None else None
         fw.segments = {}
         return fw
+
+    # -- watches ---------------------------------------------------------------
+    def watch(self, callback: Callable[[], None]) -> Watch:
+        """Install an unarmed :class:`Watch` that calls ``callback``.
+
+        Reached watches fire after a work unit, in installation order.
+        """
+        watch = Watch(self, callback)
+        self._watches.append(watch)
+        return watch
+
+    @property
+    def boot_units(self) -> int:
+        """Work units this boot (``on_reboot`` sees the ended boot's)."""
+        return self.work_units - self._boot_start_units
+
+    def _rearm(self) -> None:
+        watches = self._watches
+        self._unit_deadline = min((w.units for w in watches), default=NEVER)
+        self._cycle_deadline = min((w.cycles for w in watches), default=NEVER)
+        level = max((w.vcap for w in watches), default=-math.inf)
+        if level != self._vcap_level:
+            self._vcap_level = level
+            self._spend_window = None  # its floor folds the level in
+
+    def _unit_done(self) -> None:
+        self.work_units += 1
+        if (
+            self.work_units >= self._unit_deadline
+            or self.cycles_executed >= self._cycle_deadline
+            or self.power.capacitor._voltage <= self._vcap_level
+        ):
+            self._fire_watches()
+
+    def _fire_watches(self) -> None:
+        """Call back reached watches; nested work neither counts nor fires."""
+        if self._firing:
+            return
+        units = self.work_units
+        self._firing = True
+        try:
+            for watch in tuple(self._watches):
+                if (
+                    watch.units <= units
+                    or watch.cycles <= self.cycles_executed
+                    or self.power.capacitor._voltage <= watch.vcap
+                ):
+                    watch.callback()
+        finally:
+            self.work_units = units
+            self._firing = False
 
     def block_guard(self, worst_cycles: int) -> bool:
         """Whether a translated block of ``worst_cycles`` may run now.
@@ -511,36 +600,13 @@ class TargetDevice:
         """Low-power sleep: time passes at the sleep current.
 
         Sleep is work like any other: the energy drawn at the sleep
-        current lands in :attr:`energy_consumed`, and the post-work
-        hooks run afterwards — an attached debugger's energy
+        current lands in :attr:`energy_consumed`, and it counts as a
+        work unit that fires watches — an attached debugger's energy
         breakpoints must fire whether the device burned the energy
         computing or dozing.
         """
-        if self.stop_after is not None and self.sim.now >= self.stop_after:
-            raise ExecutionLimit(f"deadline {self.stop_after:.6f} s reached")
-        self._check_power()
-        capacitor = self.power.capacitor
-        v = capacitor._voltage
-        energy_before = 0.5 * capacitor.capacitance * v * v
-        self.sim.advance(seconds)
-        powered = self.power.step(seconds, self.constants.sleep_current)
-        v = capacitor._voltage
-        drained = energy_before - 0.5 * capacitor.capacitance * v * v
-        if drained > 0.0:
-            self.energy_consumed += drained
-        if not powered:
-            raise PowerFailure(
-                f"brown-out during sleep at {self.sim.now * 1e3:.3f} ms",
-                vcap=self.power.vcap,
-                at=self.sim.now,
-            )
-        if self.post_work_hooks and not self._in_hook:
-            self._in_hook = True
-            try:
-                for hook in self.post_work_hooks:
-                    hook()
-            finally:
-                self._in_hook = False
+        self._step(seconds, self.constants.sleep_current)
+        self._unit_done()
 
     # -- code markers (EDB program-event monitoring) ----------------------------
     def code_marker(self, marker_id: int) -> None:
@@ -589,6 +655,7 @@ class TargetDevice:
         self.sim.trace.record("target.reboot", self.reboot_count)
         for hook in self.on_reboot:
             hook(self.reboot_count)
+        self._boot_start_units = self.work_units
 
     def load_program(self, program: Program) -> None:
         """Write an assembled image into FRAM and point the CPU at it."""

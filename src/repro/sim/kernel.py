@@ -26,12 +26,12 @@ from repro.sim.trace import TraceRecorder
 class BudgetExceeded(Exception):
     """A watchdog budget (simulated cycles or wall clock) expired.
 
-    Raised by supervision hooks — a device post-work hook counting
-    simulated cycles, or a wall-clock alarm — to unwind a run that
-    would otherwise never terminate.  Defined here (not in the campaign
-    package) so the runtime executor can catch it without a layering
-    violation; the campaign's conservative ``NONTERMINATING`` verdict
-    is built on top of this exception.
+    Raised by supervision — a device watch whose cycle deadline or
+    wall-clock poll fired, or a wall-clock alarm — to unwind a run
+    that would otherwise never terminate.  Defined here (not in the
+    campaign package) so the runtime executor can catch it without a
+    layering violation; the campaign's conservative ``NONTERMINATING``
+    verdict is built on top of this exception.
     """
 
     def __init__(self, message: str, budget: str = "unspecified") -> None:

@@ -33,8 +33,9 @@ Deliberately *not* captured:
 - host-side state — wall-clock watchdog polls, journal writers,
   progress callbacks.  Simulator events registered with ``host=True``
   are excluded from capture and survive a restore untouched;
-- hook/listener registrations (``on_reboot``, ``post_work_hooks``,
-  write observers, trace listeners): those are wiring, not state.
+- hook/listener registrations (``on_reboot``, watches, write
+  observers, trace listeners): those are wiring, not state.  (The
+  work-unit counters and each watch's armed triggers *are* captured.)
   Stateful hook owners (the campaign's fault injectors) expose their
   own ``export_state``/``restore_state`` and are handled by callers;
 - callbacks in the event queue are captured *by reference*: snapshots
@@ -177,15 +178,6 @@ class DirtyTracker:
             self._pages[name] = list(region_pages)
             self._dirty[name].clear()
 
-    def remove(self) -> None:
-        """Detach from the memory map's observer lists (idempotent)."""
-        for observers in (
-            self.memory.write_observers,
-            self.memory.oob_write_observers,
-        ):
-            if self._observe in observers:
-                observers.remove(self._observe)
-
 
 class DeviceSnapshot:
     """One captured world state; see :func:`capture` / :func:`restore`."""
@@ -214,7 +206,9 @@ class DeviceSnapshot:
         "reboot_count",
         "energy_consumed",
         "stop_after",
-        "in_hook",
+        "work_units",
+        "boot_start_units",
+        "watches",
         "power_state",
         "power_reboots",
         "power_turn_ons",
@@ -309,7 +303,9 @@ def capture(
     snap.reboot_count = device.reboot_count
     snap.energy_consumed = device.energy_consumed
     snap.stop_after = device.stop_after
-    snap.in_hook = device._in_hook
+    snap.work_units = device.work_units
+    snap.boot_start_units = device._boot_start_units
+    snap.watches = [(w, w.units, w.cycles, w.vcap) for w in device._watches]
 
     power = device.power
     snap.power_state = power._state
@@ -428,7 +424,11 @@ def restore(
     device.reboot_count = snap.reboot_count
     device.energy_consumed = snap.energy_consumed
     device.stop_after = snap.stop_after
-    device._in_hook = snap.in_hook
+    device.work_units = snap.work_units
+    device._boot_start_units = snap.boot_start_units
+    for watch, units, cycles, vcap in snap.watches:
+        watch.units, watch.cycles, watch.vcap = units, cycles, vcap
+    device._rearm()
 
     power = device.power
     power._state = snap.power_state

@@ -96,8 +96,8 @@ def time_limit(
 class BrownoutInjector:
     """Forces a brown-out after a chosen number of work units.
 
-    Installs itself as a post-work hook on the device; on the N-th
-    completed ``execute_cycles`` call it yanks the capacitor below the
+    Arms a unit deadline on a device watch; when the N-th completed
+    work unit reaches it, the injector yanks the capacitor below the
     brown-out threshold, so the *next* operation raises
     :class:`~repro.mcu.device.PowerFailure`.  One-shot by default —
     call :meth:`arm` again for the next injection.
@@ -105,40 +105,28 @@ class BrownoutInjector:
 
     def __init__(self, device: TargetDevice) -> None:
         self.device = device
-        self._remaining: int | None = None
         self.injections = 0
-        device.post_work_hooks.append(self._hook)
+        self._watch = device.watch(self._fire)
 
     def arm(self, after_ops: int) -> None:
         """Schedule a brown-out ``after_ops`` completed work units from now."""
         if after_ops < 1:
             raise ValueError(f"after_ops must be >= 1 (got {after_ops})")
-        self._remaining = after_ops
+        self._watch.arm(units=self.device.work_units + after_ops)
 
     def disarm(self) -> None:
         """Cancel a pending injection."""
-        self._remaining = None
+        self._watch.disarm()
 
-    @property
-    def armed(self) -> bool:
-        """True while an injection is pending."""
-        return self._remaining is not None
-
-    def _hook(self) -> None:
-        if self._remaining is None:
-            return
-        self._remaining -= 1
-        if self._remaining > 0:
-            return
-        self._remaining = None
+    def _fire(self) -> None:
+        self._watch.disarm()
         power: PowerSystem = self.device.power
         if power.force_brownout():
             self.injections += 1
 
     def remove(self) -> None:
-        """Uninstall the hook from the device."""
-        if self._hook in self.device.post_work_hooks:
-            self.device.post_work_hooks.remove(self._hook)
+        """Uninstall the watch from the device."""
+        self._watch.remove()
 
 
 def fast_wisp_constants() -> WispPowerConstants:

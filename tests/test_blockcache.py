@@ -89,13 +89,10 @@ def _execute(source, *, mode="block", seed=1234, duration=1.5,
         device.cpu.block_cache_enabled = False
     elif mode != "block":
         raise ValueError(f"unknown mode {mode!r}")
-    injector = (
-        ScheduledBrownouts(device, list(schedule)) if schedule else None
-    )
+    if schedule:
+        ScheduledBrownouts(device, list(schedule))
     executor = IsaIntermittentExecutor(sim, device, assemble(source))
     result = executor.run(duration=duration)
-    if injector is not None:
-        injector.remove()
     return result, device, sim
 
 
@@ -297,7 +294,7 @@ def test_random_faulted_schedule_differential(seed):
     The bench supply never browns out organically, so the injected
     schedule is the only fault source — every reboot boundary, register,
     memory word, clock tick, and capacitor bit must agree across
-    single-step and block dispatch, with the injector's post-work hook
+    single-step and block dispatch, with the injector's watch
     installed exactly as in campaign legs.
     """
     rng = random.Random(seed)

@@ -168,24 +168,36 @@ class TestCodeMarkers:
 
 
 class TestHooks:
-    def test_post_work_hook_runs_after_work(self, wisp):
+    def test_watch_fires_after_work(self, wisp):
         calls = []
-        wisp.post_work_hooks.append(lambda: calls.append(True))
+        watch = wisp.watch(lambda: calls.append(wisp.work_units))
+        watch.arm(units=wisp.work_units + 2)
         wisp.execute_cycles(10)
-        assert calls == [True]
+        assert calls == []
+        wisp.execute_cycles(10)
+        assert calls == [wisp.work_units]
+        # A fired watch stays armed until its owner re-arms it.
+        watch.disarm()
+        wisp.execute_cycles(10)
+        assert len(calls) == 1
 
     def test_hooks_not_reentrant(self, wisp):
-        depth = {"n": 0, "max": 0}
+        depth = {"n": 0, "max": 0, "calls": 0}
 
-        def hook():
+        def callback():
             depth["n"] += 1
+            depth["calls"] += 1
             depth["max"] = max(depth["max"], depth["n"])
             wisp.execute_cycles(1)  # would recurse without the guard
             depth["n"] -= 1
 
-        wisp.post_work_hooks.append(hook)
+        watch = wisp.watch(callback)
+        watch.arm(units=0)  # reached by every unit
+        units = wisp.work_units
         wisp.execute_cycles(10)
-        assert depth["max"] == 1
+        assert depth == {"n": 0, "max": 1, "calls": 1}
+        # The nested unit neither counted nor fired.
+        assert wisp.work_units == units + 1
 
 
 class TestSelfMeasurement:

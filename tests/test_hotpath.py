@@ -3,7 +3,7 @@
 Covers the PR's two halves:
 
 - bugfixes: stack traffic charging region cycles, sleep energy landing
-  in ``energy_consumed`` (and running post-work hooks), code-marker
+  in ``energy_consumed`` (and counting as a watched work unit), code-marker
   lines released on a mid-pulse brown-out, ``call_every`` rejecting
   past starts;
 - optimisations staying invisible: decode-cache invalidation on code
@@ -104,11 +104,15 @@ class TestSleepAccounting:
         device.sleep(10 * units.MS)
         assert device.energy_consumed > before
 
-    def test_sleep_runs_post_work_hooks(self):
+    def test_sleep_counts_a_unit_and_fires_watches(self):
         _, device = _null_powered_device()
         fired = []
-        device.post_work_hooks.append(lambda: fired.append(device.sim.now))
+        before = device.work_units
+        device.watch(lambda: fired.append(device.sim.now)).arm(
+            units=before + 1
+        )
         device.sleep(1 * units.MS)
+        assert device.work_units == before + 1
         assert fired
 
 

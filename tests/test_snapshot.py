@@ -17,7 +17,11 @@ import pytest
 
 from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
-from repro.campaign.faults import StateCorruptor, plan_faults
+from repro.campaign.faults import (
+    ScheduledBrownouts,
+    StateCorruptor,
+    plan_faults,
+)
 from repro.campaign.forking import _program_state, _restore_program_state
 from repro.campaign.report import render_json
 from repro.campaign.runner import _install_injectors
@@ -28,7 +32,7 @@ from repro.runtime.executor import IntermittentExecutor
 from repro.sim.kernel import Simulator
 from repro.sim.rng import derive_seed
 from repro.snapshot import DirtyTracker, capture, restore
-from repro.testing import make_fast_target
+from repro.testing import make_bench_target, make_fast_target
 
 from tests.test_hotpath import GOLDEN_CONFIG, GOLDEN_PATH
 
@@ -151,6 +155,61 @@ def test_restore_then_resume_is_bit_identical(axis):
     # The resumed stretch was a real intermittent workload, not a tail:
     # it crossed at least one brown-out/reboot boundary.
     assert straight["reboots"] > reboots_at_capture
+
+
+def _units_until_injection(target, injector) -> tuple[int, int]:
+    """Spend work units until the injector fires; (boot, total) units."""
+    fired = injector.injections
+    while injector.injections == fired:
+        target.execute_cycles(10)
+    return target.boot_units, target.work_units
+
+
+def _mid_boot_target():
+    sim = Simulator(seed=5)
+    target = make_bench_target(sim)
+    injector = ScheduledBrownouts(target, [7])
+    target.reboot()  # boot 0 begins: the deadline is 7 units away
+    for _ in range(3):
+        target.execute_cycles(10)
+    return target, injector
+
+
+def test_unit_counters_and_deadlines_round_trip():
+    """Work-unit counters and every armed trigger survive a restore."""
+    target, injector = _mid_boot_target()
+    watch = target.watch(lambda: None)
+    watch.arm(units=target.work_units + 40, cycles=10**6, vcap=1.9)
+    snap = capture(target)
+    armed = (
+        target.work_units, target.boot_units,
+        injector._watch.units, (watch.units, watch.cycles, watch.vcap),
+    )
+    for _ in range(3):  # stays short of the injector's deadline
+        target.execute_cycles(10)
+    watch.disarm()
+    assert target.work_units != armed[0]
+
+    restore(target, snap)
+    assert armed == (
+        target.work_units, target.boot_units,
+        injector._watch.units, (watch.units, watch.cycles, watch.vcap),
+    )
+
+
+def test_fork_resumed_mid_boot_fires_at_the_from_reset_unit():
+    """A mid-boot fork fires ScheduledBrownouts where from-reset does."""
+    reference, ref_injector = _mid_boot_target()
+    from_reset = _units_until_injection(reference, ref_injector)
+    assert from_reset[0] == 7
+
+    target, injector = _mid_boot_target()
+    snap = capture(target)
+    state = injector.export_state()
+    assert _units_until_injection(target, injector) == from_reset
+    restore(target, snap)
+    injector.restore_state(state)
+    assert _units_until_injection(target, injector) == from_reset
 
 
 def test_differential_capture_equals_full_capture():

@@ -55,6 +55,7 @@ from repro.campaign.report import render_json
 from repro.campaign.runner import capture_divergence, execute_run
 from repro.campaign.scheduler import _chunk_indices
 from repro.campaign.shrinker import shrink_schedule
+from repro.mcu.device import NEVER
 from repro.sim.kernel import BudgetExceeded
 from repro.testing import can_use_alarm, make_fast_target, time_limit
 
@@ -107,20 +108,20 @@ class TestRunWatchdog:
     def test_cycle_budget_trips_deterministically(self):
         sim = Simulator(seed=1)
         target = make_fast_target(sim)
+        target.power.charge_until_on()
         with RunWatchdog(target, max_cycles=100):
-            target.cycles_executed += 100
+            target.execute_cycles(99)
             with pytest.raises(BudgetExceeded) as info:
-                for hook in list(target.post_work_hooks):
-                    hook()
+                target.execute_cycles(1)
         assert info.value.budget == "cycles"
-        # The context manager removed the hook on the way out.
-        assert not target.post_work_hooks
+        # The context manager removed the watch on the way out.
+        target.execute_cycles(1)
 
-    def test_zero_budgets_install_nothing(self):
+    def test_zero_budgets_arm_no_deadline(self):
         sim = Simulator(seed=1)
         target = make_fast_target(sim)
         dog = RunWatchdog(target, max_cycles=0, max_wall_s=0.0)
-        assert not target.post_work_hooks
+        assert target._unit_deadline == target._cycle_deadline == NEVER
         dog.remove()  # idempotent even when never installed
 
     def test_nonterminating_status_reaches_the_verdict(self):
