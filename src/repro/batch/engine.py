@@ -28,6 +28,24 @@ count is reached by the cumulative FRAM write tally.  The engine peels
 on exactly those conditions (evaluated per boundary over the live lanes),
 so a lane left in the batch provably never fired.
 
+The leader depends only on the group's environment and app, never on
+its schedules, so it runs **once per key per worker process**: the first
+group with a key drives it to its end (no early stop when every lane
+peels), capturing a node at every boot start, and keeps the device, the
+boundaries, the terminal observation and the recorder schedule.  Every
+group, the first included, then makes the same ``fired`` calls over the
+stored boundaries; clones take the stored observation and peeled lanes
+restore into the stored device.  The key is the adapter object, the
+config fields the leg reads (app, protect, iterations, duration,
+max_cycles, max_wall_s), the plan's mode, distance and duty, and the
+``REPRO_NO_BLOCKCACHE``/``REPRO_FORCE_DEOPT`` switches the device reads
+when it is built.  The borrowed seed is not in it: a leader is kept only
+when its RNG hub stayed untouched, which makes the seed inert.  Never
+kept: a leader that tripped the wall clock, hit a foreign stop, or drew
+randomness; an entry whose hub reads touched after a group's replays
+(or that fails mid-group) is dropped and that group falls back.  At
+most ``_LEADER_MEMO_SIZE`` entries live at once.
+
 Everything here honours the campaign's byte-identical report contract:
 any leader failure, foreign stop request, wall-clock budget trip, or
 violation of the zero-RNG honesty invariant makes the engine return
@@ -49,7 +67,9 @@ from repro.campaign.forking import (
     continuous_observation,
 )
 from repro.campaign.oracle import Observation, compare
+from repro.campaign.runner import _harvest_tier_stats, note_lane_stats
 from repro.campaign.watchdog import RunWatchdog
+from repro.mcu.device import _blockcache_disabled, _deopt_forced
 from repro.power.harvester import RFHarvester
 from repro.power.supply import PowerState
 from repro.runtime.executor import IntermittentExecutor, RunStatus
@@ -63,6 +83,14 @@ _BOUNDARY = "lane-boundary"
 #: First commit count of a lane with an empty commit schedule: larger
 #: than any write tally a run can accumulate, so it never fires.
 _NEVER = 1 << 62
+
+#: Leaders kept per worker process, least recently used evicted first.
+#: A campaign sweeps one environment per fork group key, so a handful
+#: covers every key a chunk meets; each entry holds a device and one
+#: differential snapshot per boot.
+_LEADER_MEMO_SIZE = 4
+
+_leader_memo: dict[tuple, _Leader] = {}
 
 
 class _LaneSchedules:
@@ -104,11 +132,230 @@ class _LaneSchedules:
         self.live.difference_update(lanes)
         return lanes
 
-    def future_fire_possible(self, next_boot: int) -> bool:
-        """Whether any live lane can still fire at boot ``next_boot`` on."""
-        if self.mode == "op_index":
-            return any(len(self.ops[lane]) > next_boot for lane in self.live)
-        return bool(self.live)
+
+class _Leader:
+    """One fault-free leader run, and the device it ran on.
+
+    ``pauses`` lists every organic brown-out the leader parked at, in
+    order, as ``(boundary, node)``: ``boundary`` is the
+    ``(boot, boot_ops, writes)`` triple the lane schedules are checked
+    against, ``node`` the snapshot captured as the next boot began.
+    ``start`` is node 0 (the post-flash state, before boot 0) and
+    ``end`` the terminal boundary.  The run is a function of the memo
+    key alone, so a stored leader serves any group with that key: the
+    group's schedules are checked against the stored boundaries and its
+    peeled lanes replay on the stored device.
+    """
+
+    def __init__(self, config, adapter, plan: FaultPlan, sim_seed: int):
+        self.config = config
+        self.adapter = adapter
+        # -- construction mirrors run_intermittent_leg hook-for-hook
+        sim = self.sim = Simulator(seed=sim_seed)
+        sim.trace.enabled = False  # see runner.run_intermittent_leg
+        target = self.target = make_fast_target(
+            sim, distance_m=plan.distance_m, fading_sigma=plan.fading_sigma
+        )
+        if plan.duty is not None and isinstance(
+            target.power.source, RFHarvester
+        ):
+            target.power.source.duty_period = plan.duty[0]
+            target.power.source.duty_fraction = plan.duty[1]
+        self.mode = plan.mode
+        program = self.program = adapter.build(
+            config.protect, config.iterations
+        )
+        self.executor = IntermittentExecutor(sim, target, program)
+        self.executor.flash()
+        self.tracker = DirtyTracker(target.memory)
+        self.recorder = RebootRecorder(target)
+        # The real injector class with an empty schedule: inert during
+        # the leader run, but its hooks and watch claim the same
+        # positions a from-reset leg gives them (recorder, injector,
+        # watchdog), and in commit mode its passive ``writes_seen``
+        # tally doubles as the leader's FRAM write counter.
+        if self.mode == "commit_boundary":
+            self.injector = CommitBoundaryTrigger(target, [])
+        else:
+            self.injector = ScheduledBrownouts(target, [])
+        self.watchdog = RunWatchdog(
+            target, config.max_cycles, config.max_wall_s
+        )
+        self.deadline = sim.now + config.duration
+        self.base_reboots = target.reboot_count
+        self.start = self._capture(0)
+        self.pauses: list[tuple[tuple[int, int, int], tuple]] = []
+
+    def _capture(self, boots: int) -> tuple:
+        return (
+            capture(self.target, self.tracker),
+            self.injector.export_state(),
+            self.recorder.export_state(),
+            _program_state(self.program),
+            boots,
+        )
+
+    def _boundary(self) -> tuple[int, int, int]:
+        writes = (
+            self.injector.writes_seen if self.mode == "commit_boundary" else 0
+        )
+        return len(self.recorder.schedule()), self.target.boot_units, writes
+
+    def run(self) -> bool:
+        """Drive the leader to its end; ``False`` if it serves no group.
+
+        A foreign stop request owns the run, and a draw from the RNG hub
+        makes the trajectory depend on the borrowed seed: either way the
+        group falls back to the scalar paths.
+        """
+        sim, target = self.sim, self.target
+        config, adapter = self.config, self.adapter
+
+        def pauser(state: PowerState) -> None:
+            if state is PowerState.OFF:
+                sim.request_stop(_BOUNDARY)
+
+        target.power.on_power_change.append(pauser)
+        boots = faults = 0
+        try:
+            with time_limit(config.max_wall_s):
+                while True:
+                    result = self.executor.run(
+                        until=self.deadline, stop_on_fault=True
+                    )
+                    boots += result.boots
+                    faults += len(result.faults)
+                    if result.status is not RunStatus.INTERRUPTED:
+                        break
+                    if sim.stop_reason != _BOUNDARY:
+                        return False
+                    sim.clear_stop()
+                    boundary = self._boundary()
+                    self.pauses.append((boundary, self._capture(boots)))
+        finally:
+            # A brown-out landing exactly at the deadline leaves the
+            # pause request pending past the terminal segment.
+            sim.clear_stop()
+            # The pause hook must not outlive the leader: forced
+            # brown-outs during replays transition the power state too.
+            target.power.on_power_change.remove(pauser)
+        self.end = self._boundary()
+        detail = None if result.detail is None else str(result.detail)
+        # Host-timing noise must not speak for N records, nor be kept.
+        self.wall_tripped = (
+            result.status is RunStatus.NONTERMINATING
+            and "wall-clock" in (detail or "")
+        )
+        self.observation = Observation(
+            status=result.status.value,
+            faults=faults,
+            boots=boots,
+            reboots=target.reboot_count - self.base_reboots,
+            observables=adapter.observe(self.program, self.executor.api),
+            detail=detail,
+        )
+        self.schedule = self.recorder.schedule()
+        # Replays restore-and-zero the device tier counters, so harvest
+        # the leader's tallies before the first restore.
+        _harvest_tier_stats(target)
+        return sim.rng.untouched
+
+    def peels(self, lanes: _LaneSchedules) -> tuple[dict[int, tuple], int]:
+        """The peel node of every lane that fires, and the spans used.
+
+        The same ``fired`` calls, in the same order, that a leader run
+        stopping once every lane peeled would make: one per pause, then
+        (if lanes are left and the run is trustworthy) one for the
+        terminal boot, which is idempotent for a boundary already seen
+        (during a terminal charge phase the recorder still holds the
+        previous boot's column, whose fired lanes are gone).
+        """
+        peel: dict[int, tuple] = {}
+        node = self.start
+        spans = 0
+        for boundary, next_node in self.pauses:
+            spans += 1
+            for lane in lanes.fired(*boundary):
+                peel[lane] = node
+            if not lanes.live:
+                return peel, spans
+            node = next_node
+        if not self.wall_tripped:
+            for lane in lanes.fired(*self.end):
+                peel[lane] = node
+        return peel, spans
+
+    def replay(
+        self, node: tuple, plan: FaultPlan
+    ) -> tuple[Observation, list, int]:
+        """Re-run one peeled lane from its node with its real schedule."""
+        sim, target = self.sim, self.target
+        injector, recorder = self.injector, self.recorder
+        snap, inj_state, rec_state, prog_state, node_boots = node
+        # Lanes peeled at one boundary share its snapshot; restore()
+        # re-verifies its CRC before touching the device.
+        restore(target, snap, self.tracker)
+        recorder.restore_state(rec_state)
+        _restore_program_state(self.program, prog_state)
+        if self.mode == "commit_boundary":
+            injector.counts = sorted(int(c) for c in plan.commit_counts)
+            # The inert leader trigger counted every FRAM write
+            # without consuming counts: its exported state is
+            # exactly the real trigger's at this boundary.
+            injector.restore_state(inj_state)
+        else:
+            injector.schedule = [int(n) for n in plan.ops_schedule]
+            # Synthesize from the recorder: a from-reset injector at
+            # this boundary has consumed len(completed) reboots.
+            completed, started = rec_state
+            injector.restore_state(
+                (len(completed), 0) if started else (-1, 0)
+            )
+        self.watchdog.rearm_wall()
+        sim.clear_stop()
+        try:
+            result = self.executor.run(
+                until=self.deadline, stop_on_fault=True
+            )
+            if result.status is RunStatus.INTERRUPTED:
+                raise RuntimeError(
+                    f"foreign stop request during lane replay: "
+                    f"{sim.stop_reason!r}"
+                )
+        finally:
+            sim.clear_stop()
+        _harvest_tier_stats(target)
+        observation = Observation(
+            status=result.status.value,
+            faults=len(result.faults),
+            boots=node_boots + result.boots,
+            reboots=target.reboot_count - self.base_reboots,
+            observables=self.adapter.observe(self.program, self.executor.api),
+            detail=None if result.detail is None else str(result.detail),
+        )
+        return observation, recorder.schedule(), injector.injections
+
+
+def _leader_key(config, adapter, plan: FaultPlan) -> tuple:
+    # Everything the leader's trajectory and observation depend on
+    # besides the borrowed seed, which is proven inert before a leader
+    # is kept: the adapter object (two adapters may share a name), the
+    # config and environment, and the execution switches a device reads
+    # when it is built.
+    return (
+        adapter,
+        config.app,
+        config.protect,
+        config.iterations,
+        config.duration,
+        config.max_cycles,
+        config.max_wall_s,
+        plan.mode,
+        plan.distance_m,
+        plan.duty,
+        _blockcache_disabled(),
+        _deopt_forced(),
+    )
 
 
 def execute_batch_group(
@@ -123,231 +370,46 @@ def execute_batch_group(
     the whole contract, pinned by the differential suite in
     ``tests/test_batch.py`` and by the campaign golden.
     """
-    from repro.campaign.runner import _harvest_tier_stats, note_lane_stats
-
     if len(members) < 2:
         return None
     if hasattr(adapter, "prepare"):
         return None
     plan0 = members[0][2]
-    mode = plan0.mode
-    if mode not in ("op_index", "commit_boundary"):
+    if plan0.mode not in ("op_index", "commit_boundary"):
         return None
     # Same ordering the scalar group path uses, so fallback parity is
     # trivially byte-stable; record order is re-established by index.
     pending = sorted(members, key=lambda m: _schedule_of(m[2]))
-    lanes = _LaneSchedules(pending, mode)
-
-    # -- leader construction: mirrors run_intermittent_leg hook-for-hook
+    lanes = _LaneSchedules(pending, plan0.mode)
+    key = _leader_key(config, adapter, plan0)
+    # Taken out while it serves: any failure below leaves it dropped.
+    leader = _leader_memo.pop(key, None)
     try:
-        sim = Simulator(seed=derive_seed(pending[0][1], "intermittent"))
-        sim.trace.enabled = False  # see runner.run_intermittent_leg
-        target = make_fast_target(
-            sim, distance_m=plan0.distance_m, fading_sigma=plan0.fading_sigma
-        )
-        if plan0.duty is not None and isinstance(
-            target.power.source, RFHarvester
-        ):
-            target.power.source.duty_period = plan0.duty[0]
-            target.power.source.duty_fraction = plan0.duty[1]
-        program = adapter.build(config.protect, config.iterations)
-        executor = IntermittentExecutor(sim, target, program)
-        executor.flash()
-    except KeyboardInterrupt:
-        raise
-    except BaseException:
-        return None
-
-    try:
-        tracker = DirtyTracker(target.memory)
-        recorder = RebootRecorder(target)
-        # The real injector class with an empty schedule: inert during
-        # the leader run, but its hooks and watch claim the same
-        # positions a from-reset leg gives them (recorder, injector,
-        # watchdog), and in commit mode its passive ``writes_seen``
-        # tally doubles as the leader's FRAM write counter.
-        if mode == "commit_boundary":
-            injector = CommitBoundaryTrigger(target, [])
-        else:
-            injector = ScheduledBrownouts(target, [])
-
-        def pauser(state: PowerState) -> None:
-            if state is PowerState.OFF:
-                sim.request_stop(_BOUNDARY)
-
-        target.power.on_power_change.append(pauser)
-        watchdog = RunWatchdog(target, config.max_cycles, config.max_wall_s)
-        deadline = sim.now + config.duration
-        base_reboots = target.reboot_count
-
-        def capture_node(boots: int) -> tuple:
-            return (
-                capture(target, tracker),
-                injector.export_state(),
-                recorder.export_state(),
-                _program_state(program),
-                boots,
+        if leader is None:
+            leader = _Leader(
+                config, adapter, plan0,
+                derive_seed(pending[0][1], "intermittent"),
             )
-
-        def boundary() -> tuple[int, int, int]:
-            writes = injector.writes_seen if mode == "commit_boundary" else 0
-            return len(recorder.schedule()), target.boot_units, writes
-
-        # ``node`` is always the snapshot taken as the *current* boot
-        # began (node 0 = the post-flash state, before boot 0); a lane
-        # that fires inside the current boot peels there.  ``None``
-        # means no live lane can ever fire again, so no capture needed.
-        node: tuple | None = capture_node(0)
-        peel: dict[int, tuple] = {}
-        batch_spans = 0
-        boots = 0
-        faults: list[str] = []
-        status = RunStatus.TIMEOUT
-        detail = None
-
-        def check_boundary() -> None:
-            if node is None:
-                return  # provably no live schedule extends this far
-            boot, boot_ops, writes = boundary()
-            for lane in lanes.fired(boot, boot_ops, writes):
-                peel[lane] = node
-
-        # -- the leader run: fault-free, parked at every brown-out
-        try:
-            with time_limit(config.max_wall_s):
-                while True:
-                    result = executor.run(until=deadline, stop_on_fault=True)
-                    boots += result.boots
-                    faults.extend(result.faults)
-                    if result.status is not RunStatus.INTERRUPTED:
-                        status = result.status
-                        detail = result.detail
-                        break
-                    if sim.stop_reason != _BOUNDARY:
-                        return None  # a foreign stop request owns the run
-                    sim.clear_stop()
-                    batch_spans += 1
-                    check_boundary()
-                    if not lanes.live:
-                        break  # every lane peeled; the leader is moot
-                    boot, _, _ = boundary()
-                    if lanes.future_fire_possible(boot + 1):
-                        node = capture_node(boots)
-                    else:
-                        node = None
-        except KeyboardInterrupt:
-            raise
-        except BaseException:
-            return None
-        finally:
-            # A brown-out landing exactly at the deadline leaves the
-            # pause request pending past the terminal segment.
-            sim.clear_stop()
-
-        clones = bool(lanes.live)
-        if clones:
-            detail_str = None if detail is None else str(detail)
-            if status is RunStatus.NONTERMINATING and "wall-clock" in (
-                detail_str or ""
-            ):
-                # Host-timing noise must not speak for N records.
+            if not leader.run():
                 return None
-            # The terminal boot ended without a pause: fire-check it too
-            # (idempotent for boundaries already processed — during a
-            # terminal charge phase the recorder still holds the
-            # previous boot's column, whose fired lanes are gone).
-            check_boundary()
-            clones = bool(lanes.live)
-        if clones:
-            leader_observation = Observation(
-                status=status.value,
-                faults=len(faults),
-                boots=boots,
-                reboots=target.reboot_count - base_reboots,
-                observables=adapter.observe(program, executor.api),
-                detail=None if detail is None else str(detail),
-            )
-            leader_schedule = recorder.schedule()
-        # The pause hook must not outlive the leader: forced brown-outs
-        # during replays transition the power state too.
-        target.power.on_power_change.remove(pauser)
-        # Replays restore-and-zero the device tier counters, so harvest
-        # the leader's tallies before the first restore.
-        _harvest_tier_stats(target)
-
-        def replay(lane: int, plan: FaultPlan) -> tuple[Observation, list, int]:
-            snap, inj_state, rec_state, prog_state, node_boots = peel[lane]
-            # Lanes peeled at one boundary share its snapshot; restore()
-            # re-verifies its CRC before touching the device.
-            restore(target, snap, tracker)
-            recorder.restore_state(rec_state)
-            _restore_program_state(program, prog_state)
-            if mode == "commit_boundary":
-                injector.counts = sorted(int(c) for c in plan.commit_counts)
-                # The inert leader trigger counted every FRAM write
-                # without consuming counts: its exported state is
-                # exactly the real trigger's at this boundary.
-                injector.restore_state(inj_state)
-            else:
-                injector.schedule = [int(n) for n in plan.ops_schedule]
-                # Synthesize from the recorder: a from-reset injector at
-                # this boundary has consumed len(completed) reboots.
-                completed, started = rec_state
-                injector.restore_state(
-                    (len(completed), 0) if started else (-1, 0)
-                )
-            watchdog.rearm_wall()
-            sim.clear_stop()
-            lane_boots = node_boots
-            lane_faults: list[str] = []
-            lane_status = RunStatus.TIMEOUT
-            lane_detail = None
-            try:
-                while True:
-                    result = executor.run(until=deadline, stop_on_fault=True)
-                    lane_boots += result.boots
-                    lane_faults.extend(result.faults)
-                    if result.status is not RunStatus.INTERRUPTED:
-                        lane_status = result.status
-                        lane_detail = result.detail
-                        break
-                    raise RuntimeError(
-                        f"foreign stop request during lane replay: "
-                        f"{sim.stop_reason!r}"
-                    )
-            finally:
-                sim.clear_stop()
-            _harvest_tier_stats(target)
-            observation = Observation(
-                status=lane_status.value,
-                faults=len(lane_faults),
-                boots=lane_boots,
-                reboots=target.reboot_count - base_reboots,
-                observables=adapter.observe(program, executor.api),
-                detail=None if lane_detail is None else str(lane_detail),
-            )
-            return observation, recorder.schedule(), injector.injections
-
+        peel, spans = leader.peels(lanes)
+        if lanes.live and leader.wall_tripped:
+            return None
         # -- assemble records in the scalar group path's exact shape
         records: dict[int, dict] = {}
         for position, (index, run_seed, plan) in enumerate(pending):
-            try:
-                with time_limit(config.max_wall_s):
-                    if position in peel:
-                        intermittent, schedule, injected = replay(
-                            position, plan
-                        )
-                    else:
-                        intermittent = leader_observation
-                        schedule = list(leader_schedule)
-                        injected = 0
-                    continuous = continuous_observation(
-                        config, adapter, derive_seed(run_seed, "continuous")
+            with time_limit(config.max_wall_s):
+                if position in peel:
+                    intermittent, schedule, injected = leader.replay(
+                        peel[position], plan
                     )
-            except KeyboardInterrupt:
-                raise
-            except BaseException:
-                return None
+                else:
+                    intermittent = leader.observation
+                    schedule = list(leader.schedule)
+                    injected = 0
+                continuous = continuous_observation(
+                    config, adapter, derive_seed(run_seed, "continuous")
+                )
             verdict = compare(intermittent, continuous, adapter.invariant_keys)
             records[index] = {
                 "index": index,
@@ -359,15 +421,17 @@ def execute_batch_group(
                 "continuous": continuous.to_dict(),
                 "verdict": verdict.to_dict(),
             }
-        if not sim.rng.untouched:
-            # The honesty invariant failed: some draw made the shared
-            # trajectory depend on the borrowed seed.
-            return None
-        note_lane_stats(
-            packed=len(pending), peeled=len(peel), spans=batch_spans
-        )
-        return records
     except KeyboardInterrupt:
         raise
     except BaseException:
         return None
+    if not leader.sim.rng.untouched:
+        # The honesty invariant failed: some draw made the shared
+        # trajectory depend on the borrowed seed.
+        return None
+    if not leader.wall_tripped:
+        _leader_memo[key] = leader
+        while len(_leader_memo) > _LEADER_MEMO_SIZE:
+            del _leader_memo[next(iter(_leader_memo))]
+    note_lane_stats(packed=len(pending), peeled=len(peel), spans=spans)
+    return records

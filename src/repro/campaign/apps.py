@@ -351,11 +351,26 @@ ADAPTERS = {
 }
 
 
+#: One instance per stateless adapter class, shared by the process.
+_SHARED: dict[type, object] = {}
+
+
 def get_adapter(name: str):
-    """Instantiate the adapter registered under ``name``."""
+    """The adapter registered under ``name``.
+
+    Stateless adapters are shared: the per-process control-leg and
+    lane-leader memos key on the adapter object, so every chunk of a
+    campaign must hand them the same one.  Adapters with a ``prepare``
+    hook carry per-run state and are instantiated on every call.
+    """
     try:
-        return ADAPTERS[name]()
+        cls = ADAPTERS[name]
     except KeyError:
         raise ValueError(
             f"unknown app {name!r}; available: {sorted(ADAPTERS)}"
         ) from None
+    if hasattr(cls, "prepare"):
+        return cls()
+    if cls not in _SHARED:
+        _SHARED[cls] = cls()
+    return _SHARED[cls]

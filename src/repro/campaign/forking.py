@@ -81,12 +81,16 @@ def _restore_program_state(program, state: dict) -> None:
 
 
 # -- the memoized continuous control leg ------------------------------------
-_continuous_memo: dict[tuple, Observation] = {}
+#: ``_continuous_key(config)`` -> adapter object -> observation.  The
+#: adapter is part of the identity: two adapters may share an app name
+#: yet observe different things.
+_continuous_memo: dict[tuple, dict[object, Observation]] = {}
 
 
 def _continuous_key(config: CampaignConfig) -> tuple:
-    # Everything the control leg's trajectory can depend on besides the
-    # leg seed — and the seed is proven inert before a result is cached.
+    # Everything in the config the control leg's trajectory can depend
+    # on besides the leg seed — and the seed is proven inert before a
+    # result is cached.
     return (
         config.app,
         config.protect,
@@ -124,8 +128,7 @@ def continuous_observation(
 
     if hasattr(adapter, "prepare"):
         return run_continuous_leg(config, adapter, leg_seed)
-    key = _continuous_key(config)
-    hit = _continuous_memo.get(key)
+    hit = _continuous_memo.get(_continuous_key(config), {}).get(adapter)
     if hit is not None:
         return hit
     sim = Simulator(seed=leg_seed)
@@ -146,7 +149,9 @@ def continuous_observation(
         detail=None if result.detail is None else str(result.detail),
     )
     if sim.rng.untouched and _memoizable(observation):
-        _continuous_memo[key] = observation
+        _continuous_memo.setdefault(_continuous_key(config), {})[
+            adapter
+        ] = observation
     return observation
 
 

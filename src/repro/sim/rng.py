@@ -36,10 +36,14 @@ class RngHub:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._streams: dict[str, random.Random] = {}
+        # Sticky: snapshot restore replaces ``_streams`` wholesale, which
+        # can forget a stream created after the capture, but never this.
+        self._touched = False
 
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it on first use."""
         if name not in self._streams:
+            self._touched = True
             digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
@@ -67,8 +71,10 @@ class RngHub:
         trajectory independent of the master seed.  The snapshot/fork
         execution paths use this as their honesty check before reusing
         one seeded simulation on behalf of differently seeded runs.
+        The answer survives snapshot restores: a draw followed by a
+        restore to a stream-free snapshot still reads touched.
         """
-        return not self._streams
+        return not (self._touched or self._streams)
 
     def derive(self, *parts: object) -> int:
         """A child seed derived from this hub's seed and ``parts``."""

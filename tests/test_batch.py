@@ -5,8 +5,9 @@ campaign produces byte-identical reports with batching on or off.  The
 tests here pin that contract for the leader/peel/clone engine against
 the scalar fork group on every divergence class the engine can meet
 (fault-schedule hits, organic mid-run brown-outs, commit-boundary
-writes, never-firing sweeps), and pin that the engine needs no
-optional package.
+writes, never-firing sweeps), pin that the engine needs no optional
+package, and pin the per-process leader memo: hits, key misses, and
+the leaders it never keeps.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.batch import engine
 from repro.batch.engine import execute_batch_group
+from repro.campaign import forking, watchdog
 from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
 from repro.campaign.faults import plan_faults
-from repro.campaign.forking import _execute_group
+from repro.campaign.forking import _execute_group, execute_chunk
+from repro.campaign.report import render_json
 from repro.campaign.runner import tier_stats_delta, tier_stats_snapshot
 from repro.campaign.scheduler import run_campaign
 from repro.mcu.memory import FRAM_BASE, FRAM_SIZE
@@ -263,3 +267,182 @@ def test_parallel_campaign_aggregates_worker_stats():
     assert stats["lanes_packed"] > 0
     assert "stats" not in report
     assert "tier" not in json.dumps(report)
+
+
+# -- the per-process leader memo -------------------------------------------
+@pytest.fixture
+def leader_runs(monkeypatch):
+    """An empty leader memo, and a count of leaders actually run."""
+    runs = []
+    real_run = engine._Leader.run
+
+    def counting_run(leader):
+        runs.append(leader)
+        return real_run(leader)
+
+    engine._leader_memo.clear()
+    monkeypatch.setattr(engine._Leader, "run", counting_run)
+    yield runs
+    engine._leader_memo.clear()
+
+
+#: A small ``isa_opsweep``: the leader pauses at an organic brown-out,
+#: and a group has both peeled and cloned lanes.
+_SWEEP_CONFIG = CampaignConfig(
+    app="rfid_firmware", runs=8, seed=4242, workers=1, chunk=4,
+    iterations=600, duration=1.0, modes=("op_index",),
+    distance_range=(1.6, 1.6), fading_range=(0.0, 0.0), duty_chance=0.0,
+    shrink=False, min_ops=2000, max_ops=60_000,
+)
+
+
+@pytest.mark.batch_smoke
+def test_second_campaign_runs_no_leader(leader_runs):
+    """A repeated campaign is served from the memo, byte for byte.
+
+    The first campaign runs one leader for its first chunk and serves
+    the second chunk from it; the second campaign (another seed, so
+    other schedules over the same environment) runs none, and both
+    render exactly what the from-reset path renders.
+    """
+    stats = {}
+    first = run_campaign(_SWEEP_CONFIG, batch=True, stats=stats)
+    assert len(leader_runs) == 1
+    assert leader_runs[0].pauses
+    assert 0 < stats["lanes_peeled"] < stats["lanes_packed"]
+    again = dataclasses.replace(_SWEEP_CONFIG, seed=4243)
+    stats = {}
+    served = render_json(run_campaign(again, batch=True, stats=stats))
+    assert len(leader_runs) == 1, "the second campaign ran a leader"
+    assert stats["lanes_packed"] == again.runs
+    assert served == render_json(
+        run_campaign(again, snapshot=False, batch=False)
+    )
+    assert render_json(first) == render_json(
+        run_campaign(_SWEEP_CONFIG, snapshot=False, batch=False)
+    )
+
+
+_KEY_CHANGES = {
+    "protect": dict(protect=True),
+    "iterations": dict(iterations=500),
+    "duration": dict(duration=0.3),
+    "max_cycles": dict(max_cycles=10**9),
+    "max_wall_s": dict(max_wall_s=90.0),
+    "mode": dict(modes=("commit_boundary",)),
+    "distance": dict(distance_range=(1.9, 1.9)),
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [*_KEY_CHANGES, "app", "adapter", "duty",
+     "REPRO_NO_BLOCKCACHE", "REPRO_FORCE_DEOPT"],
+)
+def test_any_key_field_change_misses_the_memo(change, leader_runs, monkeypatch):
+    """Each key field alone decides whether a stored leader serves."""
+    monkeypatch.delenv("REPRO_NO_BLOCKCACHE", raising=False)
+    monkeypatch.delenv("REPRO_FORCE_DEOPT", raising=False)
+    adapter = ChecksumAdapter()
+    assert execute_batch_group(
+        _SWEEP_CONFIG, adapter, _members(_SWEEP_CONFIG, 3)
+    ) is not None
+    assert execute_batch_group(
+        _SWEEP_CONFIG, adapter, _members(_SWEEP_CONFIG, 3)
+    ) is not None
+    assert len(leader_runs) == 1  # the unchanged key hits
+    config, duty = _SWEEP_CONFIG, None
+    if change in _KEY_CHANGES:
+        config = dataclasses.replace(config, **_KEY_CHANGES[change])
+    elif change == "app":
+        config = dataclasses.replace(config, app="counter")
+    elif change == "adapter":
+        adapter = ChecksumAdapter()
+    elif change == "duty":
+        duty = (0.008, 0.6)
+    else:
+        monkeypatch.setenv(change, "1")
+    execute_batch_group(config, adapter, _members(config, 3, duty=duty))
+    assert len(leader_runs) == 2
+    assert len(engine._leader_memo) == 2
+
+
+def test_leader_that_drew_randomness_is_not_kept(leader_runs):
+    """A fading environment draws from the hub: no records, no entry."""
+    members = [
+        (index, seed, dataclasses.replace(plan, fading_sigma=2.0))
+        for index, seed, plan in _members(_SWEEP_CONFIG, 3)
+    ]
+    assert execute_batch_group(_SWEEP_CONFIG, ChecksumAdapter(), members) is None
+    assert len(leader_runs) == 1
+    assert not engine._leader_memo
+
+
+def test_leader_that_tripped_the_wall_clock_is_not_kept(
+    leader_runs, monkeypatch
+):
+    """A wall-clock trip is host noise: the leader is never kept.
+
+    Every lane fires at the first pause, before the host clock jumps
+    and trips the leader's watchdog, so the group's records are still
+    sound and match the scalar path; only the leader is not kept.
+    """
+    jumped = []
+    monkeypatch.setattr(
+        watchdog, "time",
+        type("Clock", (), {"monotonic": lambda: 1e6 if jumped else 0.0}),
+    )
+    real_capture = engine._Leader._capture
+
+    def capture_then_jump(leader, boots):
+        if boots:  # the node after a pause
+            jumped.append(True)
+        return real_capture(leader, boots)
+
+    monkeypatch.setattr(engine._Leader, "_capture", capture_then_jump)
+    config = dataclasses.replace(_SWEEP_CONFIG, max_wall_s=60.0)
+    members = [
+        (index, seed, dataclasses.replace(plan, ops_schedule=schedule))
+        for (index, seed, plan), schedule in zip(
+            _members(config, 3), [(1000,), (2000, 500), (3000,)]
+        )
+    ]
+    adapter = ChecksumAdapter()
+    batched = execute_batch_group(config, adapter, members)
+    assert leader_runs[0].wall_tripped
+    assert not engine._leader_memo
+    assert batched is not None
+    assert _records_json(batched) == _records_json(
+        _execute_group(config, adapter, members)
+    )
+
+
+def test_tainted_entry_is_dropped_and_its_group_falls_back(leader_runs):
+    """A draw on a stored leader's hub evicts it; the chunk still matches.
+
+    The draw stands in for any replay that consumed randomness: the
+    sticky RNG check fails after the group's replays, the entry goes,
+    and the group is served by the scalar path instead.
+    """
+    config = dataclasses.replace(_SWEEP_CONFIG, runs=4)
+    indices = list(range(4))
+    execute_chunk(config, indices)
+    (leader,) = engine._leader_memo.values()
+    leader.sim.rng.uniform("taint", 0.0, 1.0)
+    before = tier_stats_snapshot()
+    tainted = execute_chunk(config, indices)
+    assert tier_stats_delta(before)["lanes_packed"] == 0  # fell back
+    assert not engine._leader_memo
+    assert tainted == execute_chunk(config, indices, batch=False)
+    assert len(leader_runs) == 1
+
+
+def test_control_leg_memo_keys_on_the_adapter():
+    """Two adapters sharing a name each get their own control leg."""
+    config = dataclasses.replace(_SWEEP_CONFIG, seed=5151)
+    forking._continuous_memo.clear()
+    stock = forking.continuous_observation(config, get_adapter(config.app), 1)
+    checked = forking.continuous_observation(config, ChecksumAdapter(), 2)
+    forking._continuous_memo.clear()
+    assert "fram_fletcher16" not in stock.observables
+    assert "fram_fletcher16" in checked.observables

@@ -212,6 +212,23 @@ def test_fork_resumed_mid_boot_fires_at_the_from_reset_unit():
     assert _units_until_injection(target, injector) == from_reset
 
 
+def test_rng_draw_stays_visible_after_restore():
+    """A restore to a stream-free snapshot does not hide an earlier draw.
+
+    The fork and lane engines check ``untouched`` once, after many
+    restores; a flag that a restore could reset would let a draw in any
+    replay but the last go unseen.
+    """
+    sim = Simulator(seed=3)
+    target = make_bench_target(sim)
+    snap = capture(target)
+    assert sim.rng.untouched
+    sim.rng.uniform("probe", 0.0, 1.0)
+    restore(target, snap)
+    assert not sim.rng._streams  # the stream itself was rewound away
+    assert not sim.rng.untouched
+
+
 def test_differential_capture_equals_full_capture():
     """Dirty-page capture sees exactly what a full copy sees.
 
