@@ -66,17 +66,21 @@ from repro.campaign.forking import (
     _schedule_of,
     continuous_observation,
 )
-from repro.campaign.oracle import Observation, compare
-from repro.campaign.runner import _harvest_tier_stats, note_lane_stats
+from repro.campaign.oracle import Observation
+from repro.campaign.runner import (
+    Run,
+    _harvest_tier_stats,
+    build_leg,
+    note_lane_stats,
+    run_record,
+)
 from repro.campaign.watchdog import RunWatchdog
 from repro.mcu.device import _blockcache_disabled, _deopt_forced
-from repro.power.harvester import RFHarvester
 from repro.power.supply import PowerState
-from repro.runtime.executor import IntermittentExecutor, RunStatus
-from repro.sim.kernel import Simulator
+from repro.runtime.executor import RunStatus
 from repro.sim.rng import derive_seed
 from repro.snapshot import DirtyTracker, capture, restore
-from repro.testing import make_fast_target, time_limit
+from repro.testing import time_limit
 
 _BOUNDARY = "lane-boundary"
 
@@ -96,15 +100,15 @@ _leader_memo: dict[tuple, _Leader] = {}
 class _LaneSchedules:
     """The group's injection schedules and the lanes still in the batch."""
 
-    def __init__(self, pending: list[tuple[int, int, FaultPlan]], mode: str):
+    def __init__(self, pending: list[Run], mode: str):
         self.mode = mode
         self.live = set(range(len(pending)))
         if mode == "op_index":
-            self.ops = [_schedule_of(plan) for _, _, plan in pending]
+            self.ops = [_schedule_of(run.plan) for run in pending]
         else:
             self.first_commit = [
-                plan.commit_counts[0] if plan.commit_counts else _NEVER
-                for _, _, plan in pending
+                run.plan.commit_counts[0] if run.plan.commit_counts else _NEVER
+                for run in pending
             ]
 
     def fired(self, boot: int, boot_ops: int, writes_seen: int) -> list[int]:
@@ -150,23 +154,11 @@ class _Leader:
     def __init__(self, config, adapter, plan: FaultPlan, sim_seed: int):
         self.config = config
         self.adapter = adapter
-        # -- construction mirrors run_intermittent_leg hook-for-hook
-        sim = self.sim = Simulator(seed=sim_seed)
-        sim.trace.enabled = False  # see runner.run_intermittent_leg
-        target = self.target = make_fast_target(
-            sim, distance_m=plan.distance_m, fading_sigma=plan.fading_sigma
-        )
-        if plan.duty is not None and isinstance(
-            target.power.source, RFHarvester
-        ):
-            target.power.source.duty_period = plan.duty[0]
-            target.power.source.duty_fraction = plan.duty[1]
         self.mode = plan.mode
-        program = self.program = adapter.build(
-            config.protect, config.iterations
+        sim, target, self.program, self.executor = build_leg(
+            config, adapter, sim_seed, plan
         )
-        self.executor = IntermittentExecutor(sim, target, program)
-        self.executor.flash()
+        self.sim, self.target = sim, target
         self.tracker = DirtyTracker(target.memory)
         self.recorder = RebootRecorder(target)
         # The real injector class with an empty schedule: inert during
@@ -358,9 +350,7 @@ def _leader_key(config, adapter, plan: FaultPlan) -> tuple:
     )
 
 
-def execute_batch_group(
-    config, adapter, members: list[tuple[int, int, FaultPlan]]
-) -> dict[int, dict] | None:
+def execute_batch_group(config, members: list[Run]) -> dict[int, dict] | None:
     """Execute one fork-eligible group through the lane engine.
 
     Returns a record per member index, or ``None`` when the group should
@@ -372,14 +362,15 @@ def execute_batch_group(
     """
     if len(members) < 2:
         return None
+    adapter = members[0].adapter
     if hasattr(adapter, "prepare"):
         return None
-    plan0 = members[0][2]
+    plan0 = members[0].plan
     if plan0.mode not in ("op_index", "commit_boundary"):
         return None
     # Same ordering the scalar group path uses, so fallback parity is
     # trivially byte-stable; record order is re-established by index.
-    pending = sorted(members, key=lambda m: _schedule_of(m[2]))
+    pending = sorted(members, key=lambda run: _schedule_of(run.plan))
     lanes = _LaneSchedules(pending, plan0.mode)
     key = _leader_key(config, adapter, plan0)
     # Taken out while it serves: any failure below leaves it dropped.
@@ -388,39 +379,30 @@ def execute_batch_group(
         if leader is None:
             leader = _Leader(
                 config, adapter, plan0,
-                derive_seed(pending[0][1], "intermittent"),
+                derive_seed(pending[0].seed, "intermittent"),
             )
             if not leader.run():
                 return None
         peel, spans = leader.peels(lanes)
         if lanes.live and leader.wall_tripped:
             return None
-        # -- assemble records in the scalar group path's exact shape
         records: dict[int, dict] = {}
-        for position, (index, run_seed, plan) in enumerate(pending):
+        for position, run in enumerate(pending):
             with time_limit(config.max_wall_s):
                 if position in peel:
                     intermittent, schedule, injected = leader.replay(
-                        peel[position], plan
+                        peel[position], run.plan
                     )
                 else:
                     intermittent = leader.observation
                     schedule = list(leader.schedule)
                     injected = 0
                 continuous = continuous_observation(
-                    config, adapter, derive_seed(run_seed, "continuous")
+                    config, adapter, derive_seed(run.seed, "continuous")
                 )
-            verdict = compare(intermittent, continuous, adapter.invariant_keys)
-            records[index] = {
-                "index": index,
-                "seed": run_seed,
-                "plan": plan.to_dict(),
-                "injected_reboots": injected,
-                "observed_schedule": schedule,
-                "intermittent": intermittent.to_dict(),
-                "continuous": continuous.to_dict(),
-                "verdict": verdict.to_dict(),
-            }
+            records[run.index] = run_record(
+                run, intermittent, schedule, injected, continuous, None
+            )
     except KeyboardInterrupt:
         raise
     except BaseException:

@@ -12,17 +12,19 @@ report contract:
   process serves every run of the campaign.  The independence claim is
   *verified*, not assumed: the result is only cached when the leg's
   :class:`~repro.sim.rng.RngHub` stayed untouched.
-- **Shrinker replay sessions** (:meth:`ForkSession.for_replay`).  ddmin
-  probes replay brown-out schedules that share long prefixes; a session
-  keeps one bench-supplied device alive, snapshots at every forced
-  brown-out boundary, and replays each probe from the longest cached
-  prefix instead of from reset.
+- **Shrinker replay sessions** (a :class:`ForkSession` without a plan).
+  ddmin probes replay brown-out schedules that share long prefixes; a
+  session keeps one bench-supplied device alive, snapshots at every
+  forced brown-out boundary, and replays each probe from the longest
+  cached prefix instead of from reset.
 - **Prefix-group forking** (:func:`execute_chunk`).  Runs whose fault
   plans share a deterministic environment (zero fading, equal distance
-  and duty, no bit flips) and differ only in their injection schedule
-  are executed through one session: the shared schedule prefix is
-  simulated once, snapshotted at the divergence point, and the
-  remaining legs fork from the snapshot.
+  and duty, no bit flips) and an adapter, and differ only in their
+  injection schedule, are executed through one session: the shared
+  schedule prefix is simulated once, snapshotted at the divergence
+  point, and the remaining legs fork from the snapshot.  Sampled runs
+  and fuzz genotypes (whose adapter is bound to their stimulus) go
+  through the same chunk and group code.
 
 Why the reports stay byte-identical: a boundary snapshot restores the
 *entire* simulated world (memory, CPU, peripherals, capacitor voltage,
@@ -41,25 +43,30 @@ to the legacy from-reset path for the affected runs.
 
 from __future__ import annotations
 
-import random
-
-from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
 from repro.campaign.faults import (
     CommitBoundaryTrigger,
     FaultPlan,
     RebootRecorder,
     ScheduledBrownouts,
-    plan_faults,
 )
-from repro.campaign.oracle import Observation, compare
+from repro.campaign.oracle import Observation
+from repro.campaign.runner import (
+    Run,
+    _harvest_tier_stats,
+    _run_continuous,
+    build_leg,
+    execute_safe,
+    planned_runs,
+    run_continuous_leg,
+    run_record,
+)
 from repro.campaign.watchdog import RunWatchdog
-from repro.power.harvester import RFHarvester
-from repro.runtime.executor import IntermittentExecutor, RunStatus
-from repro.sim.kernel import Simulator
+from repro.mcu.coverage import CoverageRecorder
+from repro.runtime.executor import RunStatus
 from repro.sim.rng import derive_seed
 from repro.snapshot import DirtyTracker, capture, restore
-from repro.testing import make_bench_target, make_fast_target, time_limit
+from repro.testing import time_limit
 
 _BOUNDARY = "snapshot-boundary"
 
@@ -81,9 +88,9 @@ def _restore_program_state(program, state: dict) -> None:
 
 
 # -- the memoized continuous control leg ------------------------------------
-#: ``_continuous_key(config)`` -> adapter object -> observation.  The
-#: adapter is part of the identity: two adapters may share an app name
-#: yet observe different things.
+#: ``_continuous_key(config)`` -> adapter -> observation.  The adapter
+#: is part of the identity: two adapters may share an app name yet
+#: observe different things, and two stimuli drive different programs.
 _continuous_memo: dict[tuple, dict[object, Observation]] = {}
 
 
@@ -119,36 +126,17 @@ def continuous_observation(
     a cache hit returns the observation of an execution that verifiably
     consumed zero randomness, making it independent of ``leg_seed``.
     Adapters with a ``prepare`` hook specialise per run and are never
-    memoized.
+    memoized.  A fuzz genotype's adapter is bound to its stimulus and
+    compares equal to every other binding of the same bytes, so one
+    entry serves each stimulus.
     """
-    from repro.campaign.runner import (  # deferred: no cycle
-        _harvest_tier_stats,
-        run_continuous_leg,
-    )
-
     if hasattr(adapter, "prepare"):
         return run_continuous_leg(config, adapter, leg_seed)
     hit = _continuous_memo.get(_continuous_key(config), {}).get(adapter)
     if hit is not None:
         return hit
-    sim = Simulator(seed=leg_seed)
-    sim.trace.enabled = False  # see runner.run_intermittent_leg
-    target = make_fast_target(sim)
-    program = adapter.build(config.protect, config.iterations)
-    executor = IntermittentExecutor(sim, target, program)
-    executor.flash()
-    with RunWatchdog(target, config.max_cycles, config.max_wall_s):
-        result = executor.run_continuous(duration=config.duration)
-    _harvest_tier_stats(target)
-    observation = Observation(
-        status=result.status.value,
-        faults=len(result.faults),
-        boots=result.boots,
-        reboots=result.reboots,
-        observables=adapter.observe(program, executor.api),
-        detail=None if result.detail is None else str(result.detail),
-    )
-    if sim.rng.untouched and _memoizable(observation):
+    observation, untouched = _run_continuous(config, adapter, leg_seed)
+    if untouched and _memoizable(observation):
         _continuous_memo.setdefault(_continuous_key(config), {})[
             adapter
         ] = observation
@@ -190,36 +178,34 @@ class ForkSession:
     each boundary capture proportional to the pages written since the
     previous capture.
 
-    Construction mirrors the from-reset legs hook-for-hook (recorder,
-    then injector, then watchdog) so the reboot-hook order and the
-    watch firing order — which are behaviourally significant — match
-    exactly.
+    ``plan`` gives a harvested-power session for a group of
+    same-environment runs, recording each run's brown-out schedule;
+    without one the session replays schedules on the bench supply for
+    the shrinker.  A group session borrows ``sim_seed`` from one
+    member's leg; the seed is sound for every schedule only while the
+    trajectory consumes zero randomness, so callers check
+    ``rng_untouched`` before trusting a result.  ``coverage`` records
+    block entries like a from-reset leg's.
     """
 
     def __init__(
         self,
         config: CampaignConfig,
         adapter,
-        *,
+        plan: FaultPlan | None,
         sim_seed: int,
-        make_target,
-        mode: str,
-        record_schedule: bool,
+        coverage: CoverageRecorder | None = None,
     ) -> None:
         self.config = config
         self.adapter = adapter
-        self.mode = mode
-        self.sim = Simulator(seed=sim_seed)
-        # Campaign legs never read the trace store; see
-        # runner.run_intermittent_leg.
-        self.sim.trace.enabled = False
-        self.target = make_target(self.sim)
-        self.program = adapter.build(config.protect, config.iterations)
-        self.executor = IntermittentExecutor(self.sim, self.target, self.program)
-        self.executor.flash()
+        self.mode = "op_index" if plan is None else plan.mode
+        self.sim, self.target, self.program, self.executor = build_leg(
+            config, adapter, sim_seed, plan, bench=plan is None,
+            coverage=coverage,
+        )
         self.tracker = DirtyTracker(self.target.memory)
-        self.recorder = RebootRecorder(self.target) if record_schedule else None
-        if mode == "commit_boundary":
+        self.recorder = None if plan is None else RebootRecorder(self.target)
+        if self.mode == "commit_boundary":
             self.injector = _PausingCommitTrigger(self.target, [])
         else:
             self.injector = _PausingBrownouts(self.target, [])
@@ -233,50 +219,6 @@ class ForkSession:
         self._base_reboots = self.target.reboot_count
         self._chain: dict[tuple[int, ...], tuple] = {}
         self._chain[()] = self._capture_node(0, (), None)
-
-    @classmethod
-    def for_replay(cls, config: CampaignConfig, adapter) -> "ForkSession":
-        """A bench-supply session for the shrinker's ddmin probes."""
-        return cls(
-            config,
-            adapter,
-            sim_seed=derive_seed(config.seed, "replay"),
-            make_target=make_bench_target,
-            mode="op_index",
-            record_schedule=False,
-        )
-
-    @classmethod
-    def for_plan(
-        cls, config: CampaignConfig, adapter, plan: FaultPlan, sim_seed: int
-    ) -> "ForkSession":
-        """A harvested-power session for a group of same-environment runs.
-
-        ``sim_seed`` is borrowed from one member's intermittent leg; it
-        is sound for the whole group only while the trajectory consumes
-        zero randomness — the caller must check ``rng_untouched`` before
-        trusting the session's results.
-        """
-
-        def make_target(sim: Simulator):
-            target = make_fast_target(
-                sim, distance_m=plan.distance_m, fading_sigma=plan.fading_sigma
-            )
-            if plan.duty is not None and isinstance(
-                target.power.source, RFHarvester
-            ):
-                target.power.source.duty_period = plan.duty[0]
-                target.power.source.duty_fraction = plan.duty[1]
-            return target
-
-        return cls(
-            config,
-            adapter,
-            sim_seed=sim_seed,
-            make_target=make_target,
-            mode=plan.mode,
-            record_schedule=True,
-        )
 
     # -- bookkeeping -------------------------------------------------------
     @property
@@ -362,8 +304,6 @@ class ForkSession:
             # completion) can leave a stop pending past the terminal
             # segment; never let it leak into the next execute().
             self.sim.clear_stop()
-        from repro.campaign.runner import _harvest_tier_stats  # no cycle
-
         # Snapshot restore zeroes the device's tier counters, so the
         # counters here are exactly this execute()'s delta — summing
         # per-execute keeps the process tallies double-count-free.
@@ -407,92 +347,87 @@ def _group_key(plan: FaultPlan):
 
 
 def execute_chunk(
-    config: CampaignConfig, indices: list[int], batch: bool = True
+    config: CampaignConfig, work: list, batch: bool = True
 ) -> list[dict]:
     """Execute a chunk of runs, forking shared injection prefixes.
 
-    The snapshot-mode worker entry point.  Runs whose plans are
-    fork-eligible and share a group key execute through the lane engine
-    (``batch`` on) or one :class:`ForkSession`; everything else (and
-    every fallback) goes through the legacy supervised runner, so the
-    records are byte-identical either way.
-    ``batch`` is an execution-only switch like ``snapshot`` — it never
-    enters the config or the report.
+    The snapshot-mode worker entry point; ``work`` holds run indices,
+    or genotype jobs in fuzz mode (see
+    :func:`repro.campaign.runner.planned_runs`).  Runs whose plans are
+    fork-eligible and share a group key and an adapter execute through
+    the lane engine (``batch`` on) or one :class:`ForkSession`;
+    everything else (and every fallback) runs from reset under
+    supervision, so the records are byte-identical either way.  Runs
+    that record coverage never enter the lane engine: a per-run
+    coverage recorder is exactly the state lock-stepped lanes cannot
+    share.  ``batch`` is an execution-only switch like ``snapshot`` —
+    it never enters the config or the report.
     """
-    from repro.campaign.runner import execute_run_safe  # deferred: no cycle
-
-    adapter = get_adapter(config.app)
-    if hasattr(adapter, "prepare"):
+    runs = planned_runs(config, work)
+    if runs and hasattr(runs[0].adapter, "prepare"):
         # Per-run specialisation (chaos): nothing is shareable.
-        return [execute_run_safe(config, i, snapshot=True) for i in indices]
-    groups: dict[object, list[tuple[int, int, FaultPlan]]] = {}
-    for index in indices:
-        run_seed = derive_seed(config.seed, "run", index)
-        plan = plan_faults(
-            config, random.Random(derive_seed(run_seed, "plan"))
-        )
-        key = _group_key(plan)
+        return [execute_safe(config, run, snapshot=True) for run in runs]
+    groups: dict[object, list[Run]] = {}
+    for run in runs:
+        key = _group_key(run.plan)
         groups.setdefault(
-            key if key is not None else ("solo", index), []
-        ).append((index, run_seed, plan))
+            ("solo", run.index) if key is None else (key, run.adapter), []
+        ).append(run)
     records: dict[int, dict] = {}
     for members in groups.values():
         if len(members) < 2:
-            for index, _, _ in members:
-                records[index] = execute_run_safe(config, index, snapshot=True)
+            for run in members:
+                records[run.index] = execute_safe(config, run, snapshot=True)
             continue
-        if batch:
+        if batch and members[0].shape is None:
             from repro.batch.engine import execute_batch_group  # deferred: no cycle
 
-            batched = execute_batch_group(config, adapter, members)
+            batched = execute_batch_group(config, members)
             if batched is not None:
                 records.update(batched)
                 continue
-        records.update(_execute_group(config, adapter, members))
-    return [records[index] for index in indices]
+        records.update(_execute_group(config, members))
+    return [records[run.index] for run in runs]
 
 
-def _execute_group(
-    config: CampaignConfig,
-    adapter,
-    members: list[tuple[int, int, FaultPlan]],
-) -> dict[int, dict]:
+def _execute_group(config: CampaignConfig, members: list[Run]) -> dict[int, dict]:
     """Execute one fork-eligible group through a shared session.
 
+    Every member shares the first member's adapter and environment.
     Any mid-session failure, and any violation of the zero-RNG honesty
-    invariant, sends the affected members back through the legacy
-    from-reset path — which also re-raises (and therefore re-classifies)
+    invariant, sends the affected members back through the from-reset
+    path — which also re-raises (and therefore re-classifies)
     deterministic guest failures exactly as a non-snapshot campaign
     would record them.
     """
-    from repro.campaign.runner import execute_run_safe  # deferred: no cycle
-
     # Lexicographic schedule order maximises prefix reuse between
     # consecutive members; record order is re-established by index.
-    pending = sorted(members, key=lambda m: _schedule_of(m[2]))
+    pending = sorted(members, key=lambda run: _schedule_of(run.plan))
+    first = pending[0]
     records: dict[int, dict] = {}
-    fallback: list[tuple[int, int, FaultPlan]] = []
+    fallback: list[Run] = []
     session = None
     try:
-        session = ForkSession.for_plan(
+        session = ForkSession(
             config,
-            adapter,
-            pending[0][2],
-            derive_seed(pending[0][1], "intermittent"),
+            first.adapter,
+            first.plan,
+            derive_seed(first.seed, "intermittent"),
+            CoverageRecorder() if first.shape is not None else None,
         )
     except KeyboardInterrupt:
         raise
     except BaseException:
         fallback = pending
     if session is not None:
-        for position, (index, run_seed, plan) in enumerate(pending):
+        for position, run in enumerate(pending):
             try:
                 with time_limit(config.max_wall_s):
                     intermittent, schedule, injected = session.execute(
-                        _schedule_of(plan)
+                        _schedule_of(run.plan)
                     )
                     continuous = continuous_observation(
-                        config, adapter, derive_seed(run_seed, "continuous")
+                        config, run.adapter, derive_seed(run.seed, "continuous")
                     )
             except KeyboardInterrupt:
                 raise
@@ -501,25 +436,16 @@ def _execute_group(
                 # member and the rest of the group replay from reset.
                 fallback = pending[position:]
                 break
-            verdict = compare(
-                intermittent, continuous, adapter.invariant_keys
+            records[run.index] = run_record(
+                run, intermittent, schedule, injected, continuous,
+                session.target.cpu.coverage,
             )
-            records[index] = {
-                "index": index,
-                "seed": run_seed,
-                "plan": plan.to_dict(),
-                "injected_reboots": injected,
-                "observed_schedule": schedule,
-                "intermittent": intermittent.to_dict(),
-                "continuous": continuous.to_dict(),
-                "verdict": verdict.to_dict(),
-            }
         if not session.rng_untouched:
             # The honesty invariant failed: some draw made the
             # trajectory depend on the borrowed seed.  Nothing the
             # session produced can be trusted.
             records.clear()
             fallback = list(pending)
-    for index, _, _ in fallback:
-        records[index] = execute_run_safe(config, index, snapshot=True)
+    for run in fallback:
+        records[run.index] = execute_safe(config, run, snapshot=True)
     return records

@@ -19,11 +19,15 @@ This module turns the same machinery into feedback-driven search:
   byte-level stimulus mutation, every draw taken from a
   ``random.Random`` seeded by :func:`~repro.sim.rng.derive_seed` — a
   fuzz campaign is replayable from its master seed alone.
-- **Scheduler.**  Rounds run through the same supervised
-  :class:`~repro.campaign.scheduler._Supervisor` (crash isolation,
-  journaling, resume) with a fuzz-specific worker; seeds that share a
-  stimulus fork their schedule prefixes from one snapshot chain, and
-  diverging survivors shrink through the existing ddmin pass.
+- **Execution.**  A genotype is an ordinary campaign
+  :class:`~repro.campaign.runner.Run` whose adapter is bound to its
+  stimulus and whose record gains a ``fuzz`` key.  Rounds run through
+  the sampling campaign's driver, worker, fork groups and shrink pass
+  (:func:`~repro.campaign.scheduler.drive_campaign`): crash isolation,
+  journaling and resume; genotypes that share a stimulus fork their
+  schedule prefixes from one snapshot chain and share one memoized
+  control leg; diverging survivors shrink through the same ddmin pass,
+  replayed through a fork session when snapshots are on.
 
 Everything here honours the engine's byte-identity contract: for a
 fixed config the report is identical across worker counts, snapshot
@@ -33,40 +37,16 @@ on/off, block cache on/off, and journal resume.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable
 
 from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
-from repro.campaign.errors import (
-    BudgetError,
-    GuestFault,
-    HostFault,
-    RunError,
-    error_record,
-)
-from repro.campaign.faults import FaultPlan, RebootRecorder
-from repro.campaign.forking import (
-    ForkSession,
-    _continuous_key,
-    _memoizable,
-)
-from repro.campaign.journal import JournalWriter, load_journal
-from repro.campaign.oracle import DIVERGED, Observation, compare
-from repro.campaign.report import build_report
-from repro.campaign.runner import (
-    _install_injectors,
-    _observation,
-    verdict_for_schedule,
-)
-from repro.campaign.shrinker import shrink_schedule
-from repro.campaign.watchdog import RunWatchdog
-from repro.mcu.coverage import CoverageRecorder
-from repro.runtime.executor import IntermittentExecutor
-from repro.sim.kernel import BudgetExceeded, Simulator
-from repro.sim.rng import derive_seed
-from repro.testing import make_fast_target, time_limit
-
 from repro.campaign.corpus import Corpus
+from repro.campaign.faults import FaultPlan
+from repro.campaign.runner import Run, execute_legs
+from repro.mcu.coverage import CoverageRecorder
+from repro.sim.rng import derive_seed
 
 
 # -- genotype plumbing -------------------------------------------------------
@@ -96,15 +76,25 @@ class _StimulusAdapter:
     which routes through the adapter's ``build_fuzz`` hook so the
     program under test consumes exactly this genotype's input.  It has
     no ``prepare`` attribute on purpose: bound adapters stay memoizable
-    and fork-eligible.
+    and fork-eligible.  Bindings of the same adapter to the same bytes
+    compare equal, so the control-leg memo and the fork groups, which
+    key on the adapter, treat them as one.
     """
 
     def __init__(self, adapter, stimulus: bytes) -> None:
         self._adapter = adapter
         self._stimulus = bytes(stimulus)
-        self.stimulus_hex = self._stimulus.hex()
         self.name = adapter.name
         self.invariant_keys = adapter.invariant_keys
+
+    def _key(self) -> tuple:
+        return (self._adapter, self._stimulus)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _StimulusAdapter) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def build(self, protect: bool, iterations: int):
         return self._adapter.build_fuzz(protect, iterations, self._stimulus)
@@ -327,336 +317,38 @@ def _make_job(
     return job
 
 
-# -- execution legs ----------------------------------------------------------
-def _coverage_target(plan: FaultPlan) -> Callable:
-    """A ``make_target`` that attaches coverage *before* flash.
-
-    Both the from-reset leg and the fork session build their device
-    through this, so flash-time execution is recorded identically on
-    either path — the precondition for forked coverage matching
-    from-reset coverage byte for byte.
-    """
-
-    def make_target(sim: Simulator):
-        target = make_fast_target(
-            sim, distance_m=plan.distance_m, fading_sigma=plan.fading_sigma
-        )
-        target.cpu.coverage = CoverageRecorder()
-        return target
-
-    return make_target
-
-
-def _fuzz_intermittent_leg(
-    config: CampaignConfig, adapter, plan: FaultPlan, leg_seed: int
-) -> tuple[Observation, list[int], int, tuple[list[int], str]]:
-    """The from-reset intermittent leg, plus its coverage readout.
-
-    Mirrors :func:`repro.campaign.runner.run_intermittent_leg` hook for
-    hook (fuzz plans never carry flips, so no corruptor) with coverage
-    attached pre-flash.
-    """
-    sim = Simulator(seed=leg_seed)
-    sim.trace.enabled = False  # see runner.run_intermittent_leg
-    target = _coverage_target(plan)(sim)
-    program = adapter.build(config.protect, config.iterations)
-    executor = IntermittentExecutor(sim, target, program)
-    executor.flash()
-    recorder = RebootRecorder(target)
-    injectors = _install_injectors(target, plan)
-    with RunWatchdog(target, config.max_cycles, config.max_wall_s):
-        result = executor.run(duration=config.duration, stop_on_fault=True)
-    observation = _observation(result, adapter.observe(program, executor.api))
-    injected = sum(getattr(i, "injections", 0) for i in injectors)
-    coverage = target.cpu.coverage
-    return (
-        observation,
-        recorder.schedule(),
-        injected,
-        (list(coverage.blocks()), coverage.signature()),
-    )
-
-
-#: Continuous-leg memo keyed by config *and* stimulus — the forking
-#: module's memo deliberately omits stimulus (sampling campaigns have
-#: none), so fuzz keeps its own.
-_continuous_memo: dict[tuple, Observation] = {}
-
-
-def _fuzz_continuous_leg(
-    config: CampaignConfig, adapter, leg_seed: int, *, snapshot: bool
-) -> Observation:
-    """The control leg for one genotype, memoized per stimulus.
-
-    Same honesty rule as :func:`repro.campaign.forking.
-    continuous_observation`: a result is cached only when the leg
-    verifiably consumed zero randomness, making it independent of
-    ``leg_seed`` — so memoized and from-reset campaigns stay
-    byte-identical.
-    """
-    key = _continuous_key(config) + (getattr(adapter, "stimulus_hex", None),)
-    if snapshot:
-        hit = _continuous_memo.get(key)
-        if hit is not None:
-            return hit
-    sim = Simulator(seed=leg_seed)
-    sim.trace.enabled = False  # see runner.run_intermittent_leg
-    target = make_fast_target(sim)
-    program = adapter.build(config.protect, config.iterations)
-    executor = IntermittentExecutor(sim, target, program)
-    executor.flash()
-    with RunWatchdog(target, config.max_cycles, config.max_wall_s):
-        result = executor.run_continuous(duration=config.duration)
-    observation = _observation(result, adapter.observe(program, executor.api))
-    if snapshot and sim.rng.untouched and _memoizable(observation):
-        _continuous_memo[key] = observation
-    return observation
-
-
-def _fuzz_record(
-    job: dict,
-    run_seed: int,
-    plan: FaultPlan,
-    injected: int,
-    schedule: list[int],
-    intermittent: Observation,
-    continuous: Observation,
-    verdict,
-    coverage: tuple[list[int], str],
-) -> dict:
-    blocks, signature = coverage
-    return {
-        "index": job["index"],
-        "seed": run_seed,
-        "plan": plan.to_dict(),
-        "injected_reboots": injected,
-        "observed_schedule": schedule,
-        "intermittent": intermittent.to_dict(),
-        "continuous": continuous.to_dict(),
-        "verdict": verdict.to_dict(),
-        "fuzz": {
-            "round": job["round"],
-            "op": job["op"],
-            "parent": job["parent"],
-            "stimulus": job["stimulus"],
-            "coverage": {"blocks": list(blocks), "signature": signature},
+# -- execution ---------------------------------------------------------------
+def _fuzz_key(job: dict, record: dict, coverage: CoverageRecorder) -> None:
+    """Finish a genotype's record: its lineage and its coverage readout."""
+    record["fuzz"] = {
+        "round": job["round"],
+        "op": job["op"],
+        "parent": job["parent"],
+        "stimulus": job["stimulus"],
+        "coverage": {
+            "blocks": list(coverage.blocks()),
+            "signature": coverage.signature(),
         },
     }
+
+
+def fuzz_run(config: CampaignConfig, adapter, job: dict) -> Run:
+    """The campaign run a genotype job executes as."""
+    return Run(
+        job["index"],
+        derive_seed(config.seed, "run", job["index"]),
+        fuzz_plan(config, job["schedule"]),
+        _bind(adapter, job["stimulus"]),
+        partial(_fuzz_key, job),
+    )
 
 
 def execute_fuzz_run(
     config: CampaignConfig, job: dict, *, snapshot: bool = False
 ) -> dict:
     """Execute one fuzz genotype from reset: both legs plus the oracle."""
-    adapter = _bind(get_adapter(config.app), job["stimulus"])
-    run_seed = derive_seed(config.seed, "run", job["index"])
-    plan = fuzz_plan(config, job["schedule"])
-    try:
-        intermittent, schedule, injected, coverage = _fuzz_intermittent_leg(
-            config, adapter, plan, derive_seed(run_seed, "intermittent")
-        )
-        continuous = _fuzz_continuous_leg(
-            config, adapter, derive_seed(run_seed, "continuous"),
-            snapshot=snapshot,
-        )
-    except BudgetExceeded:
-        raise  # classified as budget_exceeded, not as a guest fault
-    except Exception as exc:
-        raise GuestFault.wrap(exc, detail="raised while executing a leg") from exc
-    verdict = compare(intermittent, continuous, adapter.invariant_keys)
-    return _fuzz_record(
-        job, run_seed, plan, injected, schedule, intermittent, continuous,
-        verdict, coverage,
-    )
-
-
-def execute_fuzz_run_safe(
-    config: CampaignConfig, job: dict, *, snapshot: bool = False
-) -> dict:
-    """Supervised :func:`execute_fuzz_run`: always exactly one record.
-
-    Error records carry no ``fuzz`` key (the run produced no coverage);
-    the corpus and the coverage stanza tolerate that shape.
-    """
-    try:
-        with time_limit(config.max_wall_s):
-            return execute_fuzz_run(config, job, snapshot=snapshot)
-    except BudgetExceeded as exc:
-        return error_record(
-            config, job["index"],
-            BudgetError.wrap(exc, detail="outside a leg"),
-        )
-    except RunError as exc:
-        return error_record(config, job["index"], exc)
-    except KeyboardInterrupt:
-        raise
-    except BaseException as exc:  # noqa: BLE001 - the supervision boundary
-        return error_record(
-            config, job["index"],
-            HostFault.wrap(exc, detail="outside guest execution"),
-        )
-
-
-# -- the fuzz worker ---------------------------------------------------------
-def _fuzz_chunk_worker(
-    config_dict: dict, jobs: list[dict], snapshot: bool = False,
-    batch: bool = True,
-) -> tuple[list[dict], dict]:
-    """Worker entry point for fuzz chunks (picklable, module-level).
-
-    With snapshots on, jobs sharing a stimulus execute through one
-    :class:`~repro.campaign.forking.ForkSession` — every fuzz plan is
-    op-index with a pinned environment, so shared schedule prefixes
-    fork from the same snapshot chain.  ``batch`` is accepted for
-    supervisor signature parity but unused: fuzz groups fork a
-    *coverage-instrumented* target whose per-block recorder is exactly
-    the per-lane state the lock-step lane engine cannot share, so they
-    stay on the ForkSession path.  Returns ``(records, tier_delta)``
-    like :func:`repro.campaign.scheduler._chunk_worker`.
-    """
-    from repro.campaign.runner import tier_stats_delta, tier_stats_snapshot
-
-    config = CampaignConfig.from_dict(config_dict)
-    before = tier_stats_snapshot()
-    if not snapshot:
-        return [
-            execute_fuzz_run_safe(config, job, snapshot=False) for job in jobs
-        ], tier_stats_delta(before)
-    adapter = get_adapter(config.app)
-    if hasattr(adapter, "prepare"):
-        # Per-run specialisation: nothing is shareable.
-        return [
-            execute_fuzz_run_safe(config, job, snapshot=True) for job in jobs
-        ], tier_stats_delta(before)
-    groups: dict[str | None, list[dict]] = {}
-    for job in jobs:
-        groups.setdefault(job["stimulus"], []).append(job)
-    records: dict[int, dict] = {}
-    for members in groups.values():
-        if len(members) < 2:
-            for job in members:
-                records[job["index"]] = execute_fuzz_run_safe(
-                    config, job, snapshot=True
-                )
-        else:
-            records.update(_execute_fuzz_group(config, adapter, members))
-    return [records[job["index"]] for job in jobs], tier_stats_delta(before)
-
-
-def _execute_fuzz_group(
-    config: CampaignConfig, adapter, members: list[dict]
-) -> dict[int, dict]:
-    """Execute one same-stimulus group through a shared fork session.
-
-    Mirrors :func:`repro.campaign.forking._execute_group`: lexicographic
-    schedule order for prefix reuse, the zero-RNG honesty check after
-    the fact, and a from-reset fallback for any member a session
-    failure (or the honesty check) taints.
-    """
-    bound = _bind(adapter, members[0]["stimulus"])
-    pending = sorted(members, key=lambda job: tuple(job["schedule"]))
-    records: dict[int, dict] = {}
-    fallback: list[dict] = []
-    first = pending[0]
-    session = None
-    try:
-        session = ForkSession(
-            config,
-            bound,
-            sim_seed=derive_seed(
-                derive_seed(config.seed, "run", first["index"]), "intermittent"
-            ),
-            make_target=_coverage_target(fuzz_plan(config, first["schedule"])),
-            mode="op_index",
-            record_schedule=True,
-        )
-    except KeyboardInterrupt:
-        raise
-    except BaseException:
-        fallback = pending
-    if session is not None:
-        for position, job in enumerate(pending):
-            run_seed = derive_seed(config.seed, "run", job["index"])
-            try:
-                with time_limit(config.max_wall_s):
-                    intermittent, schedule, injected = session.execute(
-                        job["schedule"]
-                    )
-                    recorder = session.target.cpu.coverage
-                    coverage = (
-                        list(recorder.blocks()), recorder.signature(),
-                    )
-                    continuous = _fuzz_continuous_leg(
-                        config, bound,
-                        derive_seed(run_seed, "continuous"),
-                        snapshot=True,
-                    )
-            except KeyboardInterrupt:
-                raise
-            except BaseException:
-                # Session state is suspect after any failure: this
-                # member and the rest of the group replay from reset.
-                fallback = pending[position:]
-                break
-            verdict = compare(
-                intermittent, continuous, bound.invariant_keys
-            )
-            records[job["index"]] = _fuzz_record(
-                job, run_seed, fuzz_plan(config, job["schedule"]),
-                injected, schedule, intermittent, continuous, verdict,
-                coverage,
-            )
-        if not session.rng_untouched:
-            # Some draw made the trajectory depend on the borrowed
-            # seed: nothing the session produced can be trusted.
-            records.clear()
-            fallback = list(pending)
-    for job in fallback:
-        records[job["index"]] = execute_fuzz_run_safe(
-            config, job, snapshot=True
-        )
-    return records
-
-
-# -- post-passes -------------------------------------------------------------
-def _fuzz_shrink_pass(
-    config: CampaignConfig, records: list[dict], snapshot: bool
-) -> None:
-    """ddmin the first ``shrink_limit`` diverging genotypes in place.
-
-    Probes replay from reset on the bench supply with the genotype's
-    own stimulus bound — one deterministic path regardless of the
-    snapshot flag, so reports stay byte-identical across it.
-    """
-    diverging = [
-        r for r in records if r["verdict"]["verdict"] == DIVERGED
-    ][: config.shrink_limit]
-    if not diverging:
-        return
-    adapter = get_adapter(config.app)
-    for record in diverging:
-        fuzz = record.get("fuzz")
-        bound = _bind(adapter, None if fuzz is None else fuzz["stimulus"])
-        try:
-            continuous = _fuzz_continuous_leg(
-                config, bound, derive_seed(config.seed, "shrink-control"),
-                snapshot=snapshot,
-            )
-        except Exception:
-            record["shrunk"] = None
-            continue
-
-        def still_fails(candidate: list[int]) -> bool:
-            return verdict_for_schedule(
-                config, bound, continuous, candidate
-            ).diverged
-
-        minimal = shrink_schedule(record["observed_schedule"], still_fails)
-        record["shrunk"] = (
-            None
-            if minimal is None
-            else {"schedule": minimal, "reboots": len(minimal)}
-        )
+    run = fuzz_run(config, get_adapter(config.app), job)
+    return execute_legs(config, run, snapshot=snapshot)
 
 
 def _coverage_stanza(
@@ -720,7 +412,6 @@ def run_fuzz_campaign(
     resume_from: str | None = None,
     fail_fast: bool = False,
     snapshot: bool = True,
-    batch: bool = True,
     corpus_path: str | None = None,
     journal_fsync: bool = False,
     stats: dict | None = None,
@@ -739,27 +430,11 @@ def run_fuzz_campaign(
     the final corpus when the campaign completes.  Journal/resume work
     exactly as in :func:`~repro.campaign.scheduler.run_campaign`: jobs
     are regenerated deterministically, so only missing indices execute.
-    ``batch`` and ``stats`` also mirror :func:`run_campaign` — fuzz
-    groups never enter the lane engine (see
-    :func:`_fuzz_chunk_worker`), but the flag rides through for
-    signature parity and ``stats`` aggregates worker tier counters.
+    Fuzz groups never enter the lane engine (see
+    :func:`~repro.campaign.forking.execute_chunk`), so there is no
+    ``batch`` switch here.
     """
-    from repro.campaign.runner import tier_stats_delta, tier_stats_snapshot
-    from repro.campaign.scheduler import _Supervisor, _chunk_indices
-
-    if journal_path is not None and resume_from is not None:
-        raise ValueError("journal_path and resume_from are mutually exclusive")
-    records: dict[int, dict] = {}
-    journal: JournalWriter | None = None
-    if resume_from is not None:
-        records = load_journal(resume_from, config)
-        journal = JournalWriter(
-            resume_from, config, fresh=False, fsync=journal_fsync
-        )
-    elif journal_path is not None:
-        journal = JournalWriter(
-            journal_path, config, fresh=True, fsync=journal_fsync
-        )
+    from repro.campaign.scheduler import drive_campaign  # deferred: no cycle
 
     adapter = get_adapter(config.app)
     requires_stimulus = bool(getattr(adapter, "requires_stimulus", False))
@@ -777,10 +452,8 @@ def run_fuzz_campaign(
 
     corpus = Corpus()
     jobs: dict[int, dict] = {}
-    interrupted = False
-    stopped = False
-    stats_before = tier_stats_snapshot() if stats is not None else None
-    try:
+
+    def schedule(records: dict, run_round: Callable) -> None:
         for round_no, indices in enumerate(
             _round_slices(config.runs, config.fuzz_rounds)
         ):
@@ -792,51 +465,22 @@ def run_fuzz_campaign(
                 for index in indices
             }
             jobs.update(round_jobs)
-            missing = [i for i in indices if i not in records]
-            if missing:
-                supervisor = _Supervisor(
-                    config, records, progress=progress, journal=journal,
-                    fail_fast=fail_fast, snapshot=snapshot, batch=batch,
-                    worker=_fuzz_chunk_worker, jobs=round_jobs, stats=stats,
-                )
-                supervisor.run(_chunk_indices(missing, config))
-                stopped = stopped or supervisor.stop
+            going = run_round(indices, round_jobs)
             for index in indices:
                 record = records.get(index)
                 if record is not None:
                     corpus.consider(record)
-            if stopped:
+            if not going:
                 break
-    except KeyboardInterrupt:
-        interrupted = True
-    finally:
-        if journal is not None:
-            journal.close()
 
-    if not interrupted and not stopped:
-        for index in range(config.runs):
-            if index not in records:
-                records[index] = error_record(
-                    config, index,
-                    HostFault("scheduler lost this run without a record"),
-                )
-    ordered = [records[i] for i in sorted(records)]
-    complete = not interrupted and not stopped and len(ordered) == config.runs
-    if complete and config.shrink:
-        _fuzz_shrink_pass(config, ordered, snapshot)
-    if stats is not None:
-        # This process's own execution (serial chunks, the shrink
-        # pass); pool worker deltas were folded in by the supervisors.
-        for key, value in tier_stats_delta(stats_before).items():
-            stats[key] = stats.get(key, 0) + value
-    report = build_report(config, ordered)
+    report, ordered = drive_campaign(
+        config, schedule,
+        adapter_of=lambda record: _bind(adapter, record["fuzz"]["stimulus"]),
+        progress=progress, journal_path=journal_path,
+        resume_from=resume_from, fail_fast=fail_fast, snapshot=snapshot,
+        journal_fsync=journal_fsync, stats=stats,
+    )
     report["coverage"] = _coverage_stanza(jobs, ordered, corpus)
-    if not complete:
-        report["partial"] = {
-            "completed": len(ordered),
-            "total": config.runs,
-            "interrupted": interrupted,
-        }
-    if corpus_path is not None and complete:
+    if corpus_path is not None and "partial" not in report:
         corpus.save(corpus_path)
     return report

@@ -1,9 +1,13 @@
 """Per-run execution: the intermittent leg, the control leg, replays.
 
-:func:`execute_run` is the unit of campaign work — it is what worker
-processes execute.  Each run builds a *fresh* simulator, power system,
-target, and program for every leg, so runs share no state and can be
-computed in any order, in any process, with identical results.
+A campaign run is a :class:`Run`: its index, seed, fault plan and app
+adapter, whether a sampled run (:func:`sampled_run`) or a fuzz genotype
+(:func:`repro.campaign.fuzz.fuzz_run`).  :func:`execute_legs` runs both
+of its legs from reset and rules on them; :func:`execute_safe` is the
+supervised form worker processes execute.  Each leg builds a *fresh*
+simulator, power system, target, and program (:func:`build_leg`), so
+runs share no state and can be computed in any order, in any process,
+with identical results.
 
 Seeding discipline: the run's seed is
 ``derive_seed(config.seed, "run", index)``; everything inside the run
@@ -15,6 +19,7 @@ campaign's report byte-identical across repetitions and worker counts.
 from __future__ import annotations
 
 import random
+from typing import Callable, NamedTuple
 
 from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
@@ -36,6 +41,7 @@ from repro.campaign.faults import (
 )
 from repro.campaign.oracle import Observation, Verdict, compare
 from repro.campaign.watchdog import RunWatchdog
+from repro.mcu.coverage import CoverageRecorder
 from repro.power.harvester import RFHarvester
 from repro.runtime.executor import IntermittentExecutor, RunResult
 from repro.sim.kernel import BudgetExceeded, Simulator
@@ -97,12 +103,6 @@ def tier_stats_delta(before: dict) -> dict:
     }
 
 
-def reset_tier_stats() -> None:
-    """Zero the process tallies (between campaigns in one process)."""
-    for key in _TIER_STATS:
-        _TIER_STATS[key] = 0
-
-
 def _observation(result: RunResult, observables: dict) -> Observation:
     detail = result.detail
     return Observation(
@@ -126,13 +126,61 @@ def _install_injectors(target, plan: FaultPlan) -> list:
     return injectors
 
 
-def run_intermittent_leg(
-    config: CampaignConfig, adapter, plan: FaultPlan, leg_seed: int
-) -> tuple[Observation, list[int], int]:
-    """One intermittent execution under a fault plan.
+class Run(NamedTuple):
+    """One campaign run's inputs, in either campaign mode.
 
-    Returns the observation, the recorded brown-out schedule (ops per
-    boot), and the number of injected brown-outs.
+    ``shape`` (fuzz genotypes only) finishes the record in place:
+    ``shape(record, coverage)`` adds the mode's own key from the
+    intermittent leg's coverage recorder.  Runs with a shape record
+    coverage on that leg; runs without one do not.
+    """
+
+    index: int
+    seed: int
+    plan: FaultPlan
+    adapter: object
+    shape: Callable | None = None
+
+
+def sampled_run(config: CampaignConfig, adapter, index: int) -> Run:
+    """Sampling run ``index``: its fault plan drawn from the run seed."""
+    run_seed = derive_seed(config.seed, "run", index)
+    plan = plan_faults(config, random.Random(derive_seed(run_seed, "plan")))
+    return Run(index, run_seed, plan, adapter)
+
+
+def planned_runs(config: CampaignConfig, work: list) -> list[Run]:
+    """The runs behind a chunk's work items.
+
+    Work items are run indices, or genotype jobs in fuzz mode.  Every
+    run of the chunk shares one adapter object (the memos key on it).
+    """
+    adapter = get_adapter(config.app)
+    if config.mode == "fuzz":
+        from repro.campaign.fuzz import fuzz_run  # deferred: fuzz imports runner
+
+        return [fuzz_run(config, adapter, job) for job in work]
+    return [sampled_run(config, adapter, index) for index in work]
+
+
+def build_leg(
+    config: CampaignConfig,
+    adapter,
+    leg_seed: int,
+    plan: FaultPlan | None = None,
+    *,
+    bench: bool = False,
+    coverage: CoverageRecorder | None = None,
+) -> tuple:
+    """Build one leg's device, flashed and ready to run.
+
+    The target is harvested from ``plan`` (distance, fading, duty), the
+    bench supply with ``bench``, or otherwise the tethered control
+    target.  ``coverage`` is attached before flash, so flash-time
+    execution is recorded the same way on every path.  Callers install
+    the recorder, then the injectors, then the watchdog: the order
+    their hooks and watches fire in is behaviourally significant.
+    Returns ``(sim, target, program, executor)``.
     """
     sim = Simulator(seed=leg_seed)
     # Campaign legs never read the trace store (observations come from
@@ -141,15 +189,43 @@ def run_intermittent_leg(
     # fleet, so keep the channel dark.  The capture replay, which DOES
     # consume traces, builds its own simulator with tracing on.
     sim.trace.enabled = False
-    target = make_fast_target(
-        sim, distance_m=plan.distance_m, fading_sigma=plan.fading_sigma
-    )
-    if plan.duty is not None and isinstance(target.power.source, RFHarvester):
-        target.power.source.duty_period = plan.duty[0]
-        target.power.source.duty_fraction = plan.duty[1]
+    if bench:
+        target = make_bench_target(sim)
+    elif plan is None:
+        target = make_fast_target(sim)
+    else:
+        target = make_fast_target(
+            sim, distance_m=plan.distance_m, fading_sigma=plan.fading_sigma
+        )
+        if plan.duty is not None and isinstance(
+            target.power.source, RFHarvester
+        ):
+            target.power.source.duty_period = plan.duty[0]
+            target.power.source.duty_fraction = plan.duty[1]
+    if coverage is not None:
+        target.cpu.coverage = coverage
     program = adapter.build(config.protect, config.iterations)
     executor = IntermittentExecutor(sim, target, program)
     executor.flash()
+    return sim, target, program, executor
+
+
+def run_intermittent_leg(
+    config: CampaignConfig,
+    adapter,
+    plan: FaultPlan,
+    leg_seed: int,
+    coverage: CoverageRecorder | None = None,
+) -> tuple[Observation, list[int], int]:
+    """One intermittent execution under a fault plan.
+
+    Returns the observation, the recorded brown-out schedule (ops per
+    boot), and the number of injected brown-outs.  ``coverage``, when
+    given, records the leg's block entries.
+    """
+    sim, target, program, executor = build_leg(
+        config, adapter, leg_seed, plan, coverage=coverage
+    )
     recorder = RebootRecorder(target)
     injectors = _install_injectors(target, plan)
     if plan.flips:
@@ -168,20 +244,23 @@ def run_intermittent_leg(
     return observation, recorder.schedule(), injected
 
 
+def _run_continuous(
+    config: CampaignConfig, adapter, leg_seed: int
+) -> tuple[Observation, bool]:
+    """The control leg, and whether it consumed zero randomness."""
+    sim, target, program, executor = build_leg(config, adapter, leg_seed)
+    with RunWatchdog(target, config.max_cycles, config.max_wall_s):
+        result = executor.run_continuous(duration=config.duration)
+    _harvest_tier_stats(target)
+    observation = _observation(result, adapter.observe(program, executor.api))
+    return observation, sim.rng.untouched
+
+
 def run_continuous_leg(
     config: CampaignConfig, adapter, leg_seed: int
 ) -> Observation:
     """The control: the same program on continuous (tethered) power."""
-    sim = Simulator(seed=leg_seed)
-    sim.trace.enabled = False  # see run_intermittent_leg
-    target = make_fast_target(sim)
-    program = adapter.build(config.protect, config.iterations)
-    executor = IntermittentExecutor(sim, target, program)
-    executor.flash()
-    with RunWatchdog(target, config.max_cycles, config.max_wall_s):
-        result = executor.run_continuous(duration=config.duration)
-    _harvest_tier_stats(target)
-    return _observation(result, adapter.observe(program, executor.api))
+    return _run_continuous(config, adapter, leg_seed)[0]
 
 
 def replay_with_schedule(
@@ -194,12 +273,9 @@ def replay_with_schedule(
     failures, so a candidate schedule either reproduces the divergence
     or it does not — the exact property the shrinker needs.
     """
-    sim = Simulator(seed=derive_seed(config.seed, "replay"))
-    sim.trace.enabled = False  # see run_intermittent_leg
-    target = make_bench_target(sim)
-    program = adapter.build(config.protect, config.iterations)
-    executor = IntermittentExecutor(sim, target, program)
-    executor.flash()
+    sim, target, program, executor = build_leg(
+        config, adapter, derive_seed(config.seed, "replay"), bench=True
+    )
     ScheduledBrownouts(target, list(schedule))
     with RunWatchdog(target, config.max_cycles, config.max_wall_s):
         result = executor.run(duration=config.duration, stop_on_fault=True)
@@ -207,41 +283,64 @@ def replay_with_schedule(
     return _observation(result, adapter.observe(program, executor.api))
 
 
-def execute_run(
-    config: CampaignConfig, index: int, *, snapshot: bool = False
+def run_record(
+    run: Run,
+    intermittent: Observation,
+    schedule: list[int],
+    injected: int,
+    continuous: Observation,
+    coverage: CoverageRecorder | None,
 ) -> dict:
-    """Execute campaign run ``index``: both legs plus the oracle ruling.
+    """The oracle's ruling on both legs, as a JSON-ready run record."""
+    verdict = compare(intermittent, continuous, run.adapter.invariant_keys)
+    record = {
+        "index": run.index,
+        "seed": run.seed,
+        "plan": run.plan.to_dict(),
+        "injected_reboots": injected,
+        "observed_schedule": schedule,
+        "intermittent": intermittent.to_dict(),
+        "continuous": continuous.to_dict(),
+        "verdict": verdict.to_dict(),
+    }
+    if run.shape is not None:
+        run.shape(record, coverage)
+    return record
+
+
+def execute_legs(config: CampaignConfig, run: Run, *, snapshot: bool) -> dict:
+    """Run both legs of ``run`` from reset and rule on them.
 
     The returned record is a plain JSON-ready dict (it crosses process
     boundaries and lands in the report).  Exceptions propagate —
-    :func:`execute_run_safe` is the supervised wrapper that classifies
-    them into the error taxonomy.
+    :func:`execute_safe` is the supervised wrapper that classifies them
+    into the error taxonomy.
 
     ``snapshot`` is an execution-only switch (never part of the config,
     so it never appears in reports): it reuses the memoized continuous
     control leg (see :mod:`repro.campaign.forking`), which is verified
     bit-identical to running the leg from reset.
     """
-    adapter = get_adapter(config.app)
+    adapter = run.adapter
     if hasattr(adapter, "prepare"):
         # Optional adapter hook: lets an adapter specialise per run
         # (the chaos adapter keys its misbehaviour off the run index).
-        adapter.prepare(config, index)
-    run_seed = derive_seed(config.seed, "run", index)
-    plan = plan_faults(config, random.Random(derive_seed(run_seed, "plan")))
+        adapter.prepare(config, run.index)
+    coverage = CoverageRecorder() if run.shape is not None else None
     try:
         intermittent, schedule, injected = run_intermittent_leg(
-            config, adapter, plan, derive_seed(run_seed, "intermittent")
+            config, adapter, run.plan, derive_seed(run.seed, "intermittent"),
+            coverage,
         )
         if snapshot:
             from repro.campaign.forking import continuous_observation
 
             continuous = continuous_observation(
-                config, adapter, derive_seed(run_seed, "continuous")
+                config, adapter, derive_seed(run.seed, "continuous")
             )
         else:
             continuous = run_continuous_leg(
-                config, adapter, derive_seed(run_seed, "continuous")
+                config, adapter, derive_seed(run.seed, "continuous")
             )
     except BudgetExceeded:
         raise  # classified as budget_exceeded, not as a guest fault
@@ -249,26 +348,23 @@ def execute_run(
         # Anything a leg raises past the executor's own handling came
         # from simulating the guest — classify it on the guest side.
         raise GuestFault.wrap(exc, detail="raised while executing a leg") from exc
-    verdict = compare(intermittent, continuous, adapter.invariant_keys)
-    return {
-        "index": index,
-        "seed": run_seed,
-        "plan": plan.to_dict(),
-        "injected_reboots": injected,
-        "observed_schedule": schedule,
-        "intermittent": intermittent.to_dict(),
-        "continuous": continuous.to_dict(),
-        "verdict": verdict.to_dict(),
-    }
+    return run_record(
+        run, intermittent, schedule, injected, continuous, coverage
+    )
 
 
-def execute_run_safe(
+def execute_run(
     config: CampaignConfig, index: int, *, snapshot: bool = False
 ) -> dict:
-    """Supervised :func:`execute_run`: always returns exactly one record.
+    """Execute sampling campaign run ``index``: see :func:`execute_legs`."""
+    run = sampled_run(config, get_adapter(config.app), index)
+    return execute_legs(config, run, snapshot=snapshot)
 
-    This is what worker processes (and the serial path) actually
-    execute.  Any failure is folded into the structured error taxonomy
+
+def _supervised(config: CampaignConfig, index: int, execute: Callable) -> dict:
+    """Call ``execute()`` under the run's wall-clock budget; one record.
+
+    Any failure is folded into the structured error taxonomy
     (:mod:`repro.campaign.errors`) instead of propagating, so a single
     poisoned run can never take down its chunk, and every run index is
     accounted for in the report.  ``KeyboardInterrupt`` still
@@ -277,7 +373,7 @@ def execute_run_safe(
     """
     try:
         with time_limit(config.max_wall_s):
-            return execute_run(config, index, snapshot=snapshot)
+            return execute()
     except BudgetExceeded as exc:
         # A budget expired outside a leg's own handling (e.g. the
         # SIGALRM fired during planning, observation, or the oracle).
@@ -294,6 +390,28 @@ def execute_run_safe(
         return error_record(
             config, index, HostFault.wrap(exc, detail="outside guest execution")
         )
+
+
+def execute_safe(config: CampaignConfig, run: Run, *, snapshot: bool) -> dict:
+    """Supervised :func:`execute_legs`: always returns exactly one record.
+
+    This is what worker processes (and the serial path) execute for
+    every run that no fork group serves.  Error records carry only the
+    common keys: a failed fuzz run has no coverage, and the corpus and
+    coverage stanza tolerate that shape.
+    """
+    return _supervised(
+        config, run.index, lambda: execute_legs(config, run, snapshot=snapshot)
+    )
+
+
+def execute_run_safe(
+    config: CampaignConfig, index: int, *, snapshot: bool = False
+) -> dict:
+    """Supervised :func:`execute_run`, planning included."""
+    return _supervised(
+        config, index, lambda: execute_run(config, index, snapshot=snapshot)
+    )
 
 
 def verdict_for_schedule(

@@ -56,7 +56,8 @@ from repro.campaign.oracle import DIVERGED, ERROR, Observation, compare
 from repro.campaign.report import build_report
 from repro.campaign.runner import (
     capture_divergence,
-    execute_run_safe,
+    execute_safe,
+    planned_runs,
     run_continuous_leg,
     tier_stats_delta,
     tier_stats_snapshot,
@@ -71,14 +72,16 @@ _MAX_BACKOFF_DOUBLINGS = 6
 
 
 def _chunk_worker(
-    config_dict: dict, indices: list[int], snapshot: bool = False,
+    config_dict: dict, work: list, snapshot: bool = False,
     batch: bool = True,
 ) -> tuple[list[dict], dict]:
     """Worker entry point: execute a chunk of runs (picklable, module-level).
 
-    Uses the *supervised* runner, so a failing run yields a structured
-    error record instead of poisoning its whole chunk; the only way a
-    chunk can fail as a unit is the worker process itself dying.
+    ``work`` holds the chunk's run indices, or its genotype jobs in fuzz
+    mode.  Uses the *supervised* runner, so a failing run yields a
+    structured error record instead of poisoning its whole chunk; the
+    only way a chunk can fail as a unit is the worker process itself
+    dying.
 
     ``snapshot`` routes the chunk through the prefix-fork engine
     (:func:`repro.campaign.forking.execute_chunk`), which shares work
@@ -98,9 +101,12 @@ def _chunk_worker(
     if snapshot:
         from repro.campaign.forking import execute_chunk
 
-        chunk_records = execute_chunk(config, indices, batch=batch)
+        chunk_records = execute_chunk(config, work, batch=batch)
     else:
-        chunk_records = [execute_run_safe(config, index) for index in indices]
+        chunk_records = [
+            execute_safe(config, run, snapshot=False)
+            for run in planned_runs(config, work)
+        ]
     return chunk_records, tier_stats_delta(before)
 
 
@@ -145,8 +151,6 @@ class _Chunk:
 class _Supervisor:
     """Drives chunks to completion through crashes, retries, and splits.
 
-    The unit of work is pluggable: ``worker`` is any picklable
-    module-level callable with the :func:`_chunk_worker` signature, and
     ``jobs`` optionally maps each run index to a JSON-ready payload the
     worker receives in place of the bare index (the fuzz scheduler's
     mutated candidates ride through here).  Supervision — crash blame,
@@ -161,7 +165,6 @@ class _Supervisor:
     fail_fast: bool = False
     snapshot: bool = False
     batch: bool = True
-    worker: Callable = _chunk_worker
     jobs: dict[int, dict] | None = None
     #: Optional sink for aggregated tier/lane counters.  Pool workers
     #: return their counter deltas alongside their records; only those
@@ -259,7 +262,7 @@ class _Supervisor:
             chunk = fresh.popleft()
             try:
                 future = self._pool.submit(
-                    self.worker, self._config_dict, self._work_for(chunk),
+                    _chunk_worker, self._config_dict, self._work_for(chunk),
                     self.snapshot, self.batch,
                 )
             except Exception:
@@ -307,7 +310,7 @@ class _Supervisor:
         suspects.popleft()
         try:
             future = self._pool.submit(
-                self.worker, self._config_dict, self._work_for(chunk),
+                _chunk_worker, self._config_dict, self._work_for(chunk),
                 self.snapshot, self.batch,
             )
             self._collect(future.result(), remote=True)
@@ -353,18 +356,26 @@ class _Supervisor:
         while fresh and not self.stop:
             chunk = fresh.popleft()
             self._collect(
-                self.worker(self._config_dict, self._work_for(chunk),
-                            self.snapshot, self.batch)
+                _chunk_worker(self._config_dict, self._work_for(chunk),
+                              self.snapshot, self.batch)
             )
 
 
 # -- post-passes -----------------------------------------------------------
 def _shrink_pass(
-    config: CampaignConfig, records: list[dict], snapshot: bool = False
+    config: CampaignConfig,
+    records: list[dict],
+    snapshot: bool,
+    adapter_of: Callable[[dict], object],
 ) -> None:
     """Minimize the first ``shrink_limit`` diverging runs in place.
 
-    Tolerant by construction: a control leg that fails to run marks the
+    ``adapter_of(record)`` is the adapter the record's run executed
+    with: the app's own for sampled runs, bound to the genotype's
+    stimulus for fuzz runs.  Each distinct adapter gets one control leg
+    and, with ``snapshot`` on, one replay session.
+
+    Tolerant by construction: a control leg that fails to run marks its
     candidates unshrunk, and replays that raise are treated as "does
     not reproduce" (see :func:`repro.campaign.shrinker.shrink_schedule`).
 
@@ -379,34 +390,40 @@ def _shrink_pass(
     diverging = [
         r for r in records if r["verdict"]["verdict"] == DIVERGED
     ][: config.shrink_limit]
-    if not diverging:
-        return
-    adapter = get_adapter(config.app)
-    try:
-        if snapshot:
-            continuous: Observation = continuous_observation(
-                config, adapter, derive_seed(config.seed, "shrink-control")
-            )
-        else:
-            continuous = run_continuous_leg(
-                config, adapter, derive_seed(config.seed, "shrink-control")
-            )
-    except Exception:
-        # No usable control, no shrinking — report the runs unshrunk
-        # (the same conservative "did not reproduce" marker a failed
-        # bench replay earns).
-        for record in diverging:
-            record["shrunk"] = None
-        return
-    session = None
-    if snapshot and not hasattr(adapter, "prepare"):
-        try:
-            session = ForkSession.for_replay(config, adapter)
-        except Exception:
-            session = None
+    controls: dict[object, Observation | None] = {}
+    sessions: dict[object, ForkSession | None] = {}
     for record in diverging:
+        adapter = adapter_of(record)
+        if adapter not in controls:
+            control_leg = (
+                continuous_observation if snapshot else run_continuous_leg
+            )
+            try:
+                controls[adapter] = control_leg(
+                    config, adapter, derive_seed(config.seed, "shrink-control")
+                )
+            except Exception:
+                # No usable control, no shrinking — report the runs
+                # unshrunk (the same conservative "did not reproduce"
+                # marker a failed bench replay earns).
+                controls[adapter] = None
+        continuous = controls[adapter]
+        if continuous is None:
+            record["shrunk"] = None
+            continue
+        if adapter not in sessions:
+            sessions[adapter] = None
+            if snapshot and not hasattr(adapter, "prepare"):
+                try:
+                    sessions[adapter] = ForkSession(
+                        config, adapter, None,
+                        derive_seed(config.seed, "replay"),
+                    )
+                except Exception:
+                    pass
+
         def still_fails(candidate: list[int]) -> bool:
-            nonlocal session
+            session = sessions[adapter]
             if session is not None:
                 try:
                     observation, _, _ = session.execute(candidate)
@@ -421,7 +438,7 @@ def _shrink_pass(
                 # Session state is suspect (a replay raised) or the
                 # zero-RNG invariant broke: retire the session and
                 # replay this and all later probes from reset.
-                session = None
+                sessions[adapter] = None
             return verdict_for_schedule(
                 config, adapter, continuous, candidate
             ).diverged
@@ -497,21 +514,62 @@ def run_campaign(
     with a ``host_fault`` error record rather than silently dropped).
 
     ``config.mode == "fuzz"`` dispatches to the coverage-guided search
-    (:func:`repro.campaign.fuzz.run_fuzz_campaign`), which reuses this
-    module's supervisor round by round; ``corpus_path`` (fuzz only)
-    seeds and persists the search corpus.
+    (:func:`repro.campaign.fuzz.run_fuzz_campaign`), which drives its
+    rounds through this module's :func:`drive_campaign`; ``corpus_path``
+    (fuzz only) seeds and persists the search corpus.
     """
+    options = dict(
+        progress=progress, journal_path=journal_path,
+        resume_from=resume_from, fail_fast=fail_fast, snapshot=snapshot,
+        journal_fsync=journal_fsync, stats=stats,
+    )
     if config.mode == "fuzz":
         from repro.campaign.fuzz import run_fuzz_campaign
 
-        return run_fuzz_campaign(
-            config, progress, journal_path=journal_path,
-            resume_from=resume_from, fail_fast=fail_fast,
-            snapshot=snapshot, batch=batch, corpus_path=corpus_path,
-            journal_fsync=journal_fsync, stats=stats,
-        )
+        return run_fuzz_campaign(config, corpus_path=corpus_path, **options)
     if corpus_path is not None:
         raise ValueError("corpus_path requires mode='fuzz'")
+    adapter = get_adapter(config.app)
+
+    def schedule(records: dict, run_round: Callable) -> None:
+        run_round(list(range(config.runs)))
+
+    report, _ = drive_campaign(
+        config, schedule, adapter_of=lambda record: adapter, batch=batch,
+        **options,
+    )
+    return report
+
+
+def drive_campaign(
+    config: CampaignConfig,
+    schedule: Callable[[dict, Callable], None],
+    *,
+    adapter_of: Callable[[dict], object],
+    progress: Callable[[int, int], None] | None = None,
+    journal_path: str | None = None,
+    resume_from: str | None = None,
+    fail_fast: bool = False,
+    snapshot: bool = True,
+    batch: bool = True,
+    journal_fsync: bool = False,
+    stats: dict | None = None,
+) -> tuple[dict, list[dict]]:
+    """The campaign driver both modes share; returns the report and records.
+
+    ``schedule(records, run_round)`` executes the campaign's work.  It
+    calls ``run_round(indices, jobs=None)`` once per batch of work — a
+    sampling campaign once, a fuzz campaign once per round, with each
+    index's genotype job — and may read ``records`` between rounds.
+    ``run_round`` executes the indices not already journaled under a
+    :class:`_Supervisor` and returns ``False`` once a fail-fast trip
+    stopped it.  Around that this driver opens the journal (or loads
+    the one being resumed), fills scheduler holes, runs the shrink
+    (``adapter_of`` maps a record to its adapter) and capture passes
+    on a complete campaign, folds the execution counters into
+    ``stats``, and marks an interrupted or stopped campaign partial.
+    The remaining keywords are :func:`run_campaign`'s.
+    """
     if journal_path is not None and resume_from is not None:
         raise ValueError("journal_path and resume_from are mutually exclusive")
     records: dict[int, dict] = {}
@@ -526,26 +584,35 @@ def run_campaign(
             journal_path, config, fresh=True, fsync=journal_fsync
         )
 
-    remaining = [i for i in range(config.runs) if i not in records]
-    supervisor = _Supervisor(
-        config, records, progress=progress, journal=journal,
-        fail_fast=fail_fast, snapshot=snapshot, batch=batch, stats=stats,
-    )
+    stopped = False
+
+    def run_round(indices: list[int], jobs: dict | None = None) -> bool:
+        nonlocal stopped
+        missing = [i for i in indices if i not in records]
+        if missing:
+            supervisor = _Supervisor(
+                config, records, progress=progress, journal=journal,
+                fail_fast=fail_fast, snapshot=snapshot, batch=batch,
+                jobs=jobs, stats=stats,
+            )
+            supervisor.run(_chunk_indices(missing, config))
+            stopped = stopped or supervisor.stop
+        return not stopped
+
     stats_before = tier_stats_snapshot() if stats is not None else None
     interrupted = False
     try:
-        supervisor.run(_chunk_indices(remaining, config))
+        schedule(records, run_round)
     except KeyboardInterrupt:
-        # Stop scheduling, abandon the pool without waiting, and fall
-        # through to build a valid partial report — the journal already
-        # holds every completed chunk.
+        # Stop scheduling and fall through to build a valid partial
+        # report: the supervisor has already abandoned its pool, and
+        # the journal holds every completed chunk.
         interrupted = True
-        supervisor._kill_pool()
     finally:
         if journal is not None:
             journal.close()
 
-    if not interrupted and not supervisor.stop:
+    if not interrupted and not stopped:
         for index in range(config.runs):
             if index not in records:
                 records[index] = error_record(
@@ -556,14 +623,14 @@ def run_campaign(
     complete = not interrupted and len(ordered) == config.runs
     if complete:
         if config.shrink:
-            _shrink_pass(config, ordered, snapshot=snapshot)
+            _shrink_pass(config, ordered, snapshot, adapter_of)
         if config.capture:
             _capture_pass(config, ordered)
     if stats is not None:
         # Everything this process executed itself — serial chunks,
         # degraded-mode chunks, the shrink/capture post-passes — landed
         # in the process tallies; pool workers' deltas were folded in
-        # by the supervisor as their chunks completed.
+        # by the supervisors as their chunks completed.
         for key, value in tier_stats_delta(stats_before).items():
             stats[key] = stats.get(key, 0) + value
     report = build_report(config, ordered)
@@ -573,4 +640,4 @@ def run_campaign(
             "total": config.runs,
             "interrupted": interrupted,
         }
-    return report
+    return report, ordered

@@ -30,7 +30,7 @@ from repro.campaign.config import CampaignConfig
 from repro.campaign.faults import plan_faults
 from repro.campaign.forking import _execute_group, execute_chunk
 from repro.campaign.report import render_json
-from repro.campaign.runner import tier_stats_delta, tier_stats_snapshot
+from repro.campaign.runner import Run, tier_stats_delta, tier_stats_snapshot
 from repro.campaign.scheduler import run_campaign
 from repro.mcu.memory import FRAM_BASE, FRAM_SIZE
 from repro.runtime.checkpoint import fletcher16
@@ -73,8 +73,8 @@ class ChecksumAdapter:
         return out
 
 
-def _members(config: CampaignConfig, count: int, duty=None):
-    """The first ``count`` member tuples exactly as execute_chunk builds them."""
+def _members(config: CampaignConfig, count: int, adapter, duty=None):
+    """The first ``count`` member runs exactly as execute_chunk builds them."""
     members = []
     for index in range(count):
         run_seed = derive_seed(config.seed, "run", index)
@@ -83,7 +83,7 @@ def _members(config: CampaignConfig, count: int, duty=None):
         )
         if duty is not None:
             plan = dataclasses.replace(plan, duty=duty)
-        members.append((index, run_seed, plan))
+        members.append(Run(index, run_seed, plan, adapter))
     return members
 
 
@@ -96,12 +96,12 @@ def _records_json(records: dict) -> str:
 def _differential(config: CampaignConfig, duty=None, count=6):
     """Assert batch == scalar for one group; return the lane counters."""
     adapter = ChecksumAdapter()
-    members = _members(config, count, duty=duty)
+    members = _members(config, count, adapter, duty=duty)
     before = tier_stats_snapshot()
-    batched = execute_batch_group(config, adapter, members)
+    batched = execute_batch_group(config, members)
     lanes = tier_stats_delta(before)
     assert batched is not None, "engine fell back unexpectedly"
-    scalar = _execute_group(config, adapter, members)
+    scalar = _execute_group(config, members)
     assert _records_json(batched) == _records_json(scalar)
     return lanes
 
@@ -345,10 +345,10 @@ def test_any_key_field_change_misses_the_memo(change, leader_runs, monkeypatch):
     monkeypatch.delenv("REPRO_FORCE_DEOPT", raising=False)
     adapter = ChecksumAdapter()
     assert execute_batch_group(
-        _SWEEP_CONFIG, adapter, _members(_SWEEP_CONFIG, 3)
+        _SWEEP_CONFIG, _members(_SWEEP_CONFIG, 3, adapter)
     ) is not None
     assert execute_batch_group(
-        _SWEEP_CONFIG, adapter, _members(_SWEEP_CONFIG, 3)
+        _SWEEP_CONFIG, _members(_SWEEP_CONFIG, 3, adapter)
     ) is not None
     assert len(leader_runs) == 1  # the unchanged key hits
     config, duty = _SWEEP_CONFIG, None
@@ -362,7 +362,7 @@ def test_any_key_field_change_misses_the_memo(change, leader_runs, monkeypatch):
         duty = (0.008, 0.6)
     else:
         monkeypatch.setenv(change, "1")
-    execute_batch_group(config, adapter, _members(config, 3, duty=duty))
+    execute_batch_group(config, _members(config, 3, adapter, duty=duty))
     assert len(leader_runs) == 2
     assert len(engine._leader_memo) == 2
 
@@ -370,10 +370,10 @@ def test_any_key_field_change_misses_the_memo(change, leader_runs, monkeypatch):
 def test_leader_that_drew_randomness_is_not_kept(leader_runs):
     """A fading environment draws from the hub: no records, no entry."""
     members = [
-        (index, seed, dataclasses.replace(plan, fading_sigma=2.0))
-        for index, seed, plan in _members(_SWEEP_CONFIG, 3)
+        run._replace(plan=dataclasses.replace(run.plan, fading_sigma=2.0))
+        for run in _members(_SWEEP_CONFIG, 3, ChecksumAdapter())
     ]
-    assert execute_batch_group(_SWEEP_CONFIG, ChecksumAdapter(), members) is None
+    assert execute_batch_group(_SWEEP_CONFIG, members) is None
     assert len(leader_runs) == 1
     assert not engine._leader_memo
 
@@ -402,18 +402,18 @@ def test_leader_that_tripped_the_wall_clock_is_not_kept(
     monkeypatch.setattr(engine._Leader, "_capture", capture_then_jump)
     config = dataclasses.replace(_SWEEP_CONFIG, max_wall_s=60.0)
     members = [
-        (index, seed, dataclasses.replace(plan, ops_schedule=schedule))
-        for (index, seed, plan), schedule in zip(
-            _members(config, 3), [(1000,), (2000, 500), (3000,)]
+        run._replace(plan=dataclasses.replace(run.plan, ops_schedule=schedule))
+        for run, schedule in zip(
+            _members(config, 3, ChecksumAdapter()),
+            [(1000,), (2000, 500), (3000,)],
         )
     ]
-    adapter = ChecksumAdapter()
-    batched = execute_batch_group(config, adapter, members)
+    batched = execute_batch_group(config, members)
     assert leader_runs[0].wall_tripped
     assert not engine._leader_memo
     assert batched is not None
     assert _records_json(batched) == _records_json(
-        _execute_group(config, adapter, members)
+        _execute_group(config, members)
     )
 
 
