@@ -1,8 +1,8 @@
 """Snapshot/fork execution: share campaign prefixes instead of re-simulating.
 
-Three snapshot-powered execution paths, all strictly optional (the
+Two snapshot-powered mechanisms, both strictly optional (the
 ``--no-snapshot`` flag routes everything through the original
-from-reset code) and all bound by the campaign engine's byte-identical
+from-reset code) and both bound by the campaign engine's byte-identical
 report contract:
 
 - **Memoized control leg** (:func:`continuous_observation`).  The
@@ -12,19 +12,18 @@ report contract:
   process serves every run of the campaign.  The independence claim is
   *verified*, not assumed: the result is only cached when the leg's
   :class:`~repro.sim.rng.RngHub` stayed untouched.
-- **Shrinker replay sessions** (a :class:`ForkSession` without a plan).
-  ddmin probes replay brown-out schedules that share long prefixes; a
-  session keeps one bench-supplied device alive, snapshots at every
-  forced brown-out boundary, and replays each probe from the longest
-  cached prefix instead of from reset.
-- **Prefix-group forking** (:func:`execute_chunk`).  Runs whose fault
-  plans share a deterministic environment (zero fading, equal distance
-  and duty, no bit flips) and an adapter, and differ only in their
-  injection schedule, are executed through one session: the shared
-  schedule prefix is simulated once, snapshotted at the divergence
-  point, and the remaining legs fork from the snapshot.  Sampled runs
-  and fuzz genotypes (whose adapter is bound to their stimulus) go
-  through the same chunk and group code.
+- **Fork sessions** (:class:`ForkSession`).  One long-lived device
+  runs many legs from snapshot nodes, and every forked leg in the
+  campaign runs on one: the shrinker's ddmin probes (a bench session
+  replaying from the longest cached prefix); fork-eligible groups in
+  :func:`execute_chunk` — runs whose plans share a deterministic
+  environment (zero fading, equal distance and duty, no bit flips) and
+  an adapter, and differ only in their injection schedule, so the
+  shared schedule prefix is simulated once; and the lane engine
+  (:mod:`repro.batch.engine`), whose leader is a session's fault-free
+  pass and whose peeled lanes replay from its boot nodes.  Sampled
+  runs and fuzz genotypes (whose adapter is bound to their stimulus)
+  go through the same chunk and group code.
 
 Why the reports stay byte-identical: a boundary snapshot restores the
 *entire* simulated world (memory, CPU, peripherals, capacitor voltage,
@@ -63,6 +62,7 @@ from repro.campaign.runner import (
 )
 from repro.campaign.watchdog import RunWatchdog
 from repro.mcu.coverage import CoverageRecorder
+from repro.power.supply import PowerState
 from repro.runtime.executor import RunStatus
 from repro.sim.rng import derive_seed
 from repro.snapshot import DirtyTracker, capture, restore
@@ -110,8 +110,9 @@ def _continuous_key(config: CampaignConfig) -> tuple:
 
 def _memoizable(observation: Observation) -> bool:
     # Wall-clock budget trips are host-timing noise; never let one run's
-    # bad luck speak for the whole campaign.  Cycle trips and every
-    # other status are deterministic.
+    # bad luck speak for the whole campaign (the control-leg memo and the
+    # lane engine's leader memo both ask).  Cycle trips and every other
+    # status are deterministic.
     return observation.status != RunStatus.NONTERMINATING.value or (
         "wall-clock" not in (observation.detail or "")
     )
@@ -151,7 +152,8 @@ class _PausingBrownouts(ScheduledBrownouts):
     loop — *after* the program has taken the power failure exactly as it
     would from the plain injector — which makes the pause point a clean
     snapshot boundary: the device state there is a function of the
-    consumed schedule prefix alone.
+    consumed schedule prefix alone.  With an empty schedule it never
+    forces, so the trajectory is the fault-free one.
     """
 
     def _force(self) -> None:
@@ -169,14 +171,27 @@ class _PausingCommitTrigger(CommitBoundaryTrigger):
 
 # -- the fork session --------------------------------------------------------
 class ForkSession:
-    """One long-lived device executing many runs that share prefixes.
+    """One long-lived device executing many runs from snapshot nodes.
 
-    The session flashes once and keeps a snapshot chain keyed by the
-    consumed injection prefix.  ``execute(schedule)`` restores the
-    longest cached prefix of ``schedule``, simulates only the suffix,
-    and caches every new boundary it crosses.  Dirty-page tracking makes
-    each boundary capture proportional to the pages written since the
-    previous capture.
+    The session flashes once and owns the leg's device and its wiring:
+    the recorder, a pausing injector, the watchdog, the absolute
+    deadline and the base reboot count.  A node is ``(snapshot,
+    injector state, recorder state, program state, boots)``; restoring
+    one resumes the whole simulated world where it was captured, and
+    every run goes through one restore-and-run loop (:meth:`_run`).
+    Dirty-page tracking makes each capture proportional to the pages
+    written since the previous one.  Three uses:
+
+    - :meth:`execute` restores the longest cached prefix of a schedule
+      from the snapshot chain (keyed by the consumed injection prefix),
+      simulates only the suffix, and caches every new boundary it
+      crosses: prefix-group forking and shrinker replays;
+    - :meth:`fault_free` runs the empty schedule to its end, pausing at
+      every organic power-off and keeping the node each boot began
+      from: the lane engine's leader;
+    - :meth:`peel` replays one schedule from such a boot node and
+      caches nothing, so a session kept for a whole worker process
+      does not grow.
 
     ``plan`` gives a harvested-power session for a group of
     same-environment runs, recording each run's brown-out schedule;
@@ -218,7 +233,9 @@ class ForkSession:
         self._deadline = self.sim.now + config.duration
         self._base_reboots = self.target.reboot_count
         self._chain: dict[tuple[int, ...], tuple] = {}
-        self._chain[()] = self._capture_node(0, (), None)
+        self._chain[()] = self._capture_node(0)
+        #: The node each fault-free boot began from (see fault_free).
+        self._boots: list[tuple] = [self._chain[()]]
 
     # -- bookkeeping -------------------------------------------------------
     @property
@@ -226,20 +243,18 @@ class ForkSession:
         """True while the session has consumed zero randomness."""
         return self.sim.rng.untouched
 
-    def _capture_node(self, boots: int, faults: tuple, first_fault) -> tuple:
+    def _capture_node(self, boots: int) -> tuple:
         return (
             capture(self.target, self.tracker),
             self.injector.export_state(),
             self.recorder.export_state() if self.recorder else None,
             _program_state(self.program),
-            (boots, faults, first_fault),
+            boots,
         )
 
-    def _set_schedule(self, key: tuple[int, ...]) -> None:
-        if self.mode == "commit_boundary":
-            self.injector.counts = sorted(key)
-        else:
-            self.injector.schedule = list(key)
+    def _key(self, schedule) -> tuple[int, ...]:
+        key = tuple(int(n) for n in schedule)
+        return tuple(sorted(key)) if self.mode == "commit_boundary" else key
 
     def _consumed(self) -> int:
         """Schedule entries consumed at the current pause boundary."""
@@ -248,6 +263,75 @@ class ForkSession:
         return self.injector._boot + 1
 
     # -- execution ---------------------------------------------------------
+    def _run(
+        self, node: tuple | None, key: tuple[int, ...], pause=None
+    ) -> tuple[Observation, list[int], int]:
+        """Restore ``node``, schedule ``key``, and run to the end of the leg.
+
+        ``node=None`` runs on from the device's current state.  Each stop
+        at a boundary calls ``pause(boots)``, if given, and resumes; a
+        stop anyone else requested owns the run, so it raises and the
+        caller falls back to a from-reset leg.  Returns ``(observation,
+        recorded_schedule, injections)`` exactly as the from-reset
+        intermittent leg would; for replay sessions (no recorder) the
+        recorded schedule is ``key``.
+        """
+        boots = 0
+        if node is not None:
+            snap, inj_state, rec_state, prog_state, boots = node
+            # Nodes are shared by every run resuming there; restore()
+            # re-verifies the snapshot's CRC before touching the device.
+            restore(self.target, snap, self.tracker)
+            if self.mode == "commit_boundary":
+                self.injector.counts = list(key)
+            else:
+                self.injector.schedule = list(key)
+            self.injector.restore_state(inj_state)
+            if self.recorder is not None:
+                self.recorder.restore_state(rec_state)
+            _restore_program_state(self.program, prog_state)
+        sim = self.sim
+        self.watchdog.rearm_wall()
+        sim.clear_stop()
+        faults = 0
+        try:
+            while True:
+                result = self.executor.run(
+                    until=self._deadline, stop_on_fault=True
+                )
+                boots += result.boots
+                faults += len(result.faults)
+                if result.status is not RunStatus.INTERRUPTED:
+                    break
+                if sim.stop_reason != _BOUNDARY:
+                    raise RuntimeError(
+                        f"foreign stop request: {sim.stop_reason!r}"
+                    )
+                sim.clear_stop()
+                if pause is not None:
+                    pause(boots)
+        finally:
+            # A boundary landing exactly at the deadline (or just before
+            # a completion) can leave a stop pending past the terminal
+            # segment; never let it leak into the next run.
+            sim.clear_stop()
+        # Snapshot restore zeroes the device's tier counters, so the
+        # counters here are exactly this run's delta — summing per run
+        # keeps the process tallies double-count-free.
+        _harvest_tier_stats(self.target)
+        observation = Observation(
+            status=result.status.value,
+            faults=faults,
+            boots=boots,
+            reboots=self.target.reboot_count - self._base_reboots,
+            observables=self.adapter.observe(self.program, self.executor.api),
+            detail=None if result.detail is None else str(result.detail),
+        )
+        recorded = (
+            self.recorder.schedule() if self.recorder is not None else list(key)
+        )
+        return observation, recorded, self.injector.injections
+
     def execute(
         self, schedule
     ) -> tuple[Observation, list[int], int]:
@@ -257,69 +341,73 @@ class ForkSession:
         as the from-reset intermittent leg would; for replay sessions
         (no recorder) the recorded schedule is the input schedule.
         """
-        key = tuple(int(n) for n in schedule)
-        if self.mode == "commit_boundary":
-            key = tuple(sorted(key))
+        key = self._key(schedule)
         prefix: tuple[int, ...] = ()
         for k in range(len(key), 0, -1):
             if key[:k] in self._chain:
                 prefix = key[:k]
                 break
-        snap, inj_state, rec_state, prog_state, meta = self._chain[prefix]
-        restore(self.target, snap, self.tracker)
-        self._set_schedule(key)
-        self.injector.restore_state(inj_state)
-        if self.recorder is not None:
-            self.recorder.restore_state(rec_state)
-        _restore_program_state(self.program, prog_state)
-        self.watchdog.rearm_wall()
-        self.sim.clear_stop()
-        boots, faults, first_fault = meta
-        faults = list(faults)
-        status = RunStatus.TIMEOUT
-        detail = None
+
+        def pause(boots: int) -> None:
+            consumed = self._consumed()
+            if 0 < consumed <= len(key) and key[:consumed] not in self._chain:
+                self._chain[key[:consumed]] = self._capture_node(boots)
+
+        return self._run(self._chain[prefix], key, pause)
+
+    def fault_free(
+        self,
+    ) -> tuple[list[tuple[int, int, int]], Observation, list[int]]:
+        """Run the empty schedule from flash to its end (the lane leader).
+
+        The pass pauses at every organic power-off and keeps the node
+        the next boot begins from.  Returns the ``(boot, boot_ops,
+        writes)`` boundary of every pause and then of the end — the
+        boot's index, its completed work units, and the FRAM write tally
+        the commit trigger keeps while it never fires — with the
+        observation and the recorded schedule.  Call it once, on a fresh
+        session with a plan.
+        """
+        sim, target, recorder = self.sim, self.target, self.recorder
+
+        def boundary() -> tuple[int, int, int]:
+            writes = (
+                self.injector.writes_seen
+                if self.mode == "commit_boundary" else 0
+            )
+            return len(recorder.schedule()), target.boot_units, writes
+
+        boundaries: list[tuple[int, int, int]] = []
+
+        def pause(boots: int) -> None:
+            boundaries.append(boundary())
+            self._boots.append(self._capture_node(boots))
+
+        def pauser(state: PowerState) -> None:
+            if state is PowerState.OFF:
+                sim.request_stop(_BOUNDARY)
+
+        target.power.on_power_change.append(pauser)
         try:
-            while True:
-                result = self.executor.run(
-                    until=self._deadline, stop_on_fault=True
-                )
-                boots += result.boots
-                faults.extend(result.faults)
-                if first_fault is None:
-                    first_fault = result.first_fault_time
-                if result.status is not RunStatus.INTERRUPTED:
-                    status = result.status
-                    detail = result.detail
-                    break
-                self.sim.clear_stop()
-                consumed = self._consumed()
-                if 0 < consumed <= len(key):
-                    pkey = key[:consumed]
-                    if pkey not in self._chain:
-                        self._chain[pkey] = self._capture_node(
-                            boots, tuple(faults), first_fault
-                        )
+            observation, schedule, _ = self._run(None, (), pause)
         finally:
-            # A force landing exactly at the deadline (or just before a
-            # completion) can leave a stop pending past the terminal
-            # segment; never let it leak into the next execute().
-            self.sim.clear_stop()
-        # Snapshot restore zeroes the device's tier counters, so the
-        # counters here are exactly this execute()'s delta — summing
-        # per-execute keeps the process tallies double-count-free.
-        _harvest_tier_stats(self.target)
-        observation = Observation(
-            status=status.value,
-            faults=len(faults),
-            boots=boots,
-            reboots=self.target.reboot_count - self._base_reboots,
-            observables=self.adapter.observe(self.program, self.executor.api),
-            detail=None if detail is None else str(detail),
-        )
-        recorded = (
-            self.recorder.schedule() if self.recorder is not None else list(key)
-        )
-        return observation, recorded, self.injector.injections
+            # Forced brown-outs in later runs change the power state
+            # too: the pause hook must not outlive this pass.
+            target.power.on_power_change.remove(pauser)
+        boundaries.append(boundary())
+        return boundaries, observation, schedule
+
+    def peel(self, boot: int, schedule) -> tuple[Observation, list[int], int]:
+        """Replay ``schedule`` from the node fault-free boot ``boot`` began from.
+
+        The lane engine's peeled lane: its schedule first fires inside
+        that boot, so up to the node its trajectory is the fault-free
+        one.  The node's injector state is the one a from-reset injector
+        holds there: the inert pass injector counted every reboot and,
+        in commit mode, every FRAM write, and never fired.  Nothing is
+        cached.
+        """
+        return self._run(self._boots[boot], self._key(schedule))
 
 
 # -- prefix-grouped chunk execution ------------------------------------------

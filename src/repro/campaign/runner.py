@@ -163,6 +163,17 @@ def planned_runs(config: CampaignConfig, work: list) -> list[Run]:
     return [sampled_run(config, adapter, index) for index in work]
 
 
+def _harvested_target(sim: Simulator, plan: FaultPlan):
+    """A target harvesting in ``plan``'s environment: distance, fading, duty."""
+    target = make_fast_target(
+        sim, distance_m=plan.distance_m, fading_sigma=plan.fading_sigma
+    )
+    if plan.duty is not None and isinstance(target.power.source, RFHarvester):
+        target.power.source.duty_period = plan.duty[0]
+        target.power.source.duty_fraction = plan.duty[1]
+    return target
+
+
 def build_leg(
     config: CampaignConfig,
     adapter,
@@ -194,14 +205,7 @@ def build_leg(
     elif plan is None:
         target = make_fast_target(sim)
     else:
-        target = make_fast_target(
-            sim, distance_m=plan.distance_m, fading_sigma=plan.fading_sigma
-        )
-        if plan.duty is not None and isinstance(
-            target.power.source, RFHarvester
-        ):
-            target.power.source.duty_period = plan.duty[0]
-            target.power.source.duty_fraction = plan.duty[1]
+        target = _harvested_target(sim, plan)
     if coverage is not None:
         target.cpu.coverage = coverage
     program = adapter.build(config.protect, config.iterations)
@@ -444,9 +448,7 @@ def capture_divergence(config: CampaignConfig, record: dict) -> dict | None:
     try:
         plan = plan_faults(config, random.Random(derive_seed(run_seed, "plan")))
         sim = Simulator(seed=derive_seed(run_seed, "capture"))
-        target = make_fast_target(
-            sim, distance_m=plan.distance_m, fading_sigma=plan.fading_sigma
-        )
+        target = _harvested_target(sim, plan)
         edb = EDB(sim, target)
         edb.trace("energy")
         edb.trace("watchpoints")

@@ -6,8 +6,8 @@ tests here pin that contract for the leader/peel/clone engine against
 the scalar fork group on every divergence class the engine can meet
 (fault-schedule hits, organic mid-run brown-outs, commit-boundary
 writes, never-firing sweeps), pin that the engine needs no optional
-package, and pin the per-process leader memo: hits, key misses, and
-the leaders it never keeps.
+package, and pin the per-process leader memo: hits, key misses, the
+leaders it never keeps, and that a kept leader session does not grow.
 """
 
 from __future__ import annotations
@@ -117,6 +117,7 @@ def _opsweep_config(**overrides) -> CampaignConfig:
     return CampaignConfig(**base)
 
 
+@pytest.mark.blockcache
 def test_differential_fault_schedule_peel():
     """Schedules that fire mid-run peel; records still match bit-for-bit.
 
@@ -130,6 +131,7 @@ def test_differential_fault_schedule_peel():
     assert lanes["lanes_peeled"] > 0
 
 
+@pytest.mark.blockcache
 def test_differential_never_firing_sweep_clones():
     """Schedules sweeping past the executed window clone the leader."""
     lanes = _differential(
@@ -139,6 +141,7 @@ def test_differential_never_firing_sweep_clones():
     assert lanes["lanes_peeled"] == 0  # pure clones
 
 
+@pytest.mark.blockcache
 def test_differential_organic_brownout_spans():
     """Mid-block organic brown-outs pause the leader at lane boundaries.
 
@@ -157,6 +160,7 @@ def test_differential_organic_brownout_spans():
     assert lanes["batch_spans"] > 0
 
 
+@pytest.mark.blockcache
 def test_differential_duty_cycle_group():
     """Lanes sharing a duty-cycled environment stay bit-identical."""
     _differential(
@@ -164,6 +168,7 @@ def test_differential_duty_cycle_group():
     )
 
 
+@pytest.mark.blockcache
 def test_differential_commit_boundary_writes():
     """commit_boundary mode: the write counter drives peel decisions."""
     lanes = _differential(
@@ -172,6 +177,7 @@ def test_differential_commit_boundary_writes():
     assert lanes["lanes_packed"] == 6
 
 
+@pytest.mark.blockcache
 def test_differential_self_modifying_shared_block():
     """The ISA firmware writes FRAM the translated blocks read.
 
@@ -272,16 +278,20 @@ def test_parallel_campaign_aggregates_worker_stats():
 # -- the per-process leader memo -------------------------------------------
 @pytest.fixture
 def leader_runs(monkeypatch):
-    """An empty leader memo, and a count of leaders actually run."""
-    runs = []
-    real_run = engine._Leader.run
+    """An empty leader memo, and what every fault-free pass returned.
 
-    def counting_run(leader):
-        runs.append(leader)
-        return real_run(leader)
+    Each entry is a pass's ``(boundaries, observation, schedule)``;
+    their count is the number of leaders actually run.
+    """
+    runs = []
+    real_pass = forking.ForkSession.fault_free
+
+    def counting_pass(session):
+        runs.append(real_pass(session))
+        return runs[-1]
 
     engine._leader_memo.clear()
-    monkeypatch.setattr(engine._Leader, "run", counting_run)
+    monkeypatch.setattr(forking.ForkSession, "fault_free", counting_pass)
     yield runs
     engine._leader_memo.clear()
 
@@ -308,7 +318,8 @@ def test_second_campaign_runs_no_leader(leader_runs):
     stats = {}
     first = run_campaign(_SWEEP_CONFIG, batch=True, stats=stats)
     assert len(leader_runs) == 1
-    assert leader_runs[0].pauses
+    boundaries, _, _ = leader_runs[0]
+    assert boundaries[:-1], "the leader never paused"
     assert 0 < stats["lanes_peeled"] < stats["lanes_packed"]
     again = dataclasses.replace(_SWEEP_CONFIG, seed=4243)
     stats = {}
@@ -392,14 +403,14 @@ def test_leader_that_tripped_the_wall_clock_is_not_kept(
         watchdog, "time",
         type("Clock", (), {"monotonic": lambda: 1e6 if jumped else 0.0}),
     )
-    real_capture = engine._Leader._capture
+    real_capture = forking.ForkSession._capture_node
 
-    def capture_then_jump(leader, boots):
+    def capture_then_jump(session, boots):
         if boots:  # the node after a pause
             jumped.append(True)
-        return real_capture(leader, boots)
+        return real_capture(session, boots)
 
-    monkeypatch.setattr(engine._Leader, "_capture", capture_then_jump)
+    monkeypatch.setattr(forking.ForkSession, "_capture_node", capture_then_jump)
     config = dataclasses.replace(_SWEEP_CONFIG, max_wall_s=60.0)
     members = [
         run._replace(plan=dataclasses.replace(run.plan, ops_schedule=schedule))
@@ -409,11 +420,54 @@ def test_leader_that_tripped_the_wall_clock_is_not_kept(
         )
     ]
     batched = execute_batch_group(config, members)
-    assert leader_runs[0].wall_tripped
+    _, observation, _ = leader_runs[0]
+    assert observation.status == "nonterminating"
+    assert "wall-clock" in observation.detail
     assert not engine._leader_memo
     assert batched is not None
     assert _records_json(batched) == _records_json(
         _execute_group(config, members)
+    )
+
+
+def test_foreign_stop_sends_the_group_from_reset(leader_runs, monkeypatch):
+    """A stop request the session did not make owns the run.
+
+    The request lands right after the first node a session captures
+    past flash.  The lane engine gives its group up, and the fork group
+    replays every member from reset, recording what the from-reset
+    path records.
+    """
+    real_capture = forking.ForkSession._capture_node
+
+    def capture_then_stop(session, boots):
+        if boots:
+            session.sim.request_stop("debugger")
+        return real_capture(session, boots)
+
+    monkeypatch.setattr(forking.ForkSession, "_capture_node", capture_then_stop)
+    members = [
+        run._replace(plan=dataclasses.replace(run.plan, ops_schedule=schedule))
+        for run, schedule in zip(
+            _members(_SWEEP_CONFIG, 3, ChecksumAdapter()),
+            [(1000,), (2000, 500), (3000,)],
+        )
+    ]
+    assert execute_batch_group(_SWEEP_CONFIG, members) is None
+    assert len(leader_runs) == 0 and not engine._leader_memo
+    from_reset = []
+    real_safe = forking.execute_safe
+
+    def counting_safe(config, run, *, snapshot):
+        from_reset.append(run.index)
+        return real_safe(config, run, snapshot=snapshot)
+
+    monkeypatch.setattr(forking, "execute_safe", counting_safe)
+    records = _execute_group(_SWEEP_CONFIG, members)
+    assert sorted(from_reset) == [run.index for run in members]
+    assert _records_json(records) == _records_json(
+        {run.index: real_safe(_SWEEP_CONFIG, run, snapshot=True)
+         for run in members}
     )
 
 
@@ -427,14 +481,68 @@ def test_tainted_entry_is_dropped_and_its_group_falls_back(leader_runs):
     config = dataclasses.replace(_SWEEP_CONFIG, runs=4)
     indices = list(range(4))
     execute_chunk(config, indices)
-    (leader,) = engine._leader_memo.values()
-    leader.sim.rng.uniform("taint", 0.0, 1.0)
+    ((session, *_),) = engine._leader_memo.values()
+    session.sim.rng.uniform("taint", 0.0, 1.0)
     before = tier_stats_snapshot()
     tainted = execute_chunk(config, indices)
     assert tier_stats_delta(before)["lanes_packed"] == 0  # fell back
     assert not engine._leader_memo
     assert tainted == execute_chunk(config, indices, batch=False)
     assert len(leader_runs) == 1
+
+
+def test_memoised_leader_session_stays_bounded(leader_runs):
+    """Peel replays leave nothing behind in a session kept per process.
+
+    One leader session serves several groups in a row, every one of
+    which peels lanes; the nodes it stores stay the same count after
+    each group.
+    """
+    adapter = ChecksumAdapter()
+    sizes = []
+    for shift in range(3):
+        members = [
+            run._replace(
+                plan=dataclasses.replace(run.plan, ops_schedule=schedule)
+            )
+            for run, schedule in zip(
+                _members(_SWEEP_CONFIG, 3, adapter),
+                [(1000 + shift,), (2000, 500 + shift), (90_000,)],
+            )
+        ]
+        before = tier_stats_snapshot()
+        assert execute_batch_group(_SWEEP_CONFIG, members) is not None
+        assert tier_stats_delta(before)["lanes_peeled"] == 2
+        ((session, *_),) = engine._leader_memo.values()
+        sizes.append(len(session._chain) + len(session._boots))
+    assert len(leader_runs) == 1
+    assert sizes == [sizes[0]] * len(sizes)
+
+
+@pytest.mark.parametrize("mode", ["op_index", "commit_boundary"])
+def test_boot_nodes_hold_the_from_reset_injector_state(mode):
+    """A peel resumes with exactly the injector a from-reset leg holds.
+
+    At the node a fault-free boot began from, a from-reset op-index
+    injector has consumed one schedule entry per completed boot and
+    injected nothing; a from-reset commit trigger has counted every FRAM
+    write and consumed no count.  The pass's inert injector holds
+    exactly that state, so ``peel`` restores it as captured.
+    """
+    config = dataclasses.replace(_SWEEP_CONFIG, modes=(mode,))
+    (run,) = _members(config, 1, ChecksumAdapter())
+    session = forking.ForkSession(
+        config, run.adapter, run.plan, derive_seed(run.seed, "intermittent")
+    )
+    boundaries, _, _ = session.fault_free()
+    assert len(session._boots) == len(boundaries) > 1
+    for node, boundary in zip(session._boots[1:], boundaries):
+        _, injector_state, (completed, started), _, _ = node
+        assert started and len(completed) == boundary[0]
+        if mode == "op_index":
+            assert injector_state == (len(completed), 0)
+        else:
+            assert injector_state == (0, boundary[2], 0)
 
 
 def test_control_leg_memo_keys_on_the_adapter():

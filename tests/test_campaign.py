@@ -380,3 +380,42 @@ class TestSmokeCampaign:
         # Determinism spot check against the run-level records.
         again = execute_run(config, report["divergences"][0]["index"])
         assert again["verdict"]["verdict"] == "diverged"
+
+
+def test_capture_leg_harvests_under_the_run_duty(monkeypatch):
+    """A ``--capture`` replay runs on the harvester of the run it explains.
+
+    Every run here is duty-modulated; the capture leg of the diverging
+    run must carry that run's duty period and fraction, as its
+    intermittent leg did.
+    """
+    import random
+
+    from repro.core import debugger
+    from repro.power.harvester import RFHarvester
+    from repro.sim.rng import derive_seed
+
+    targets = []
+
+    class RecordingEDB(debugger.EDB):
+        def __init__(self, sim, target, *args, **kwargs):
+            targets.append(target)
+            super().__init__(sim, target, *args, **kwargs)
+
+    monkeypatch.setattr(debugger, "EDB", RecordingEDB)
+    config = CampaignConfig(
+        app="linked_list", runs=6, seed=11, workers=1, iterations=30,
+        duration=0.5, duty_chance=1.0, shrink=False, capture=True,
+    )
+    report = run_campaign(config)
+    (row,) = [row for row in report["divergences"] if "capture" in row]
+    assert "unreproduced" not in row["capture"]
+    (target,) = targets
+    run = next(r for r in report["runs"] if r["index"] == row["index"])
+    plan = plan_faults(
+        config, random.Random(derive_seed(run["seed"], "plan"))
+    )
+    assert plan.duty is not None
+    source = target.power.source
+    assert isinstance(source, RFHarvester)
+    assert (source.duty_period, source.duty_fraction) == plan.duty
