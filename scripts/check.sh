@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repository check: the tier-1 test suite, the smoke and differential
-# re-runs, the paper reproduction, the benchmark's own tests, plus the
-# quick perf gate.
+# re-runs, the examples, the paper reproduction, the benchmark's own
+# tests, plus the quick perf gate.  CI runs this script and nothing else.
 #
 # Tier-1 (must stay green):     PYTHONPATH=src python -m pytest -x -q
 # Tier-1-adjacent (perf gate):  python -m repro.perf --check --quick
@@ -30,6 +30,12 @@ python -m pytest -q -m chaos_smoke
 
 echo "== batch smoke: lane-vs-scalar byte-identity canary =="
 python -m pytest -q -m batch_smoke
+
+echo "== examples smoke: every examples/*.py exits 0 =="
+for example in examples/*.py; do
+    echo "-- $example"
+    python "$example" > /dev/null
+done
 
 echo "== block-cache differential under REPRO_FORCE_DEOPT=1 =="
 REPRO_FORCE_DEOPT=1 python -m pytest -q -m blockcache

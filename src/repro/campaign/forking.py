@@ -132,11 +132,13 @@ def continuous_observation(
     entry serves each stimulus.
     """
     if hasattr(adapter, "prepare"):
-        return run_continuous_leg(config, adapter, leg_seed)
+        return run_continuous_leg(config, adapter, leg_seed, snapshot=True)
     hit = _continuous_memo.get(_continuous_key(config), {}).get(adapter)
     if hit is not None:
         return hit
-    observation, untouched = _run_continuous(config, adapter, leg_seed)
+    observation, untouched = _run_continuous(
+        config, adapter, leg_seed, snapshot=True
+    )
     if untouched and _memoizable(observation):
         _continuous_memo.setdefault(_continuous_key(config), {})[
             adapter

@@ -4,10 +4,20 @@ A campaign run is a :class:`Run`: its index, seed, fault plan and app
 adapter, whether a sampled run (:func:`sampled_run`) or a fuzz genotype
 (:func:`repro.campaign.fuzz.fuzz_run`).  :func:`execute_legs` runs both
 of its legs from reset and rules on them; :func:`execute_safe` is the
-supervised form worker processes execute.  Each leg builds a *fresh*
-simulator, power system, target, and program (:func:`build_leg`), so
-runs share no state and can be computed in any order, in any process,
-with identical results.
+supervised form worker processes execute.  Each leg starts from a
+freshly built simulator, power system and target, and a fresh program
+(:func:`build_leg`), so runs share no state and can be computed in any
+order, in any process, with identical results.
+
+Under ``snapshot=True`` a from-reset leg may get a *warm* device
+instead of building one: each process keeps a few built devices, keyed
+on what builds them (target kind, harvesting environment, dispatch
+switches), each with a snapshot taken right after it was built.  A
+warm leg restores that snapshot and the device's hook wiring, reseeds
+the RNG hub with the leg seed, then builds the program and flashes as
+a cold leg does — so the device it runs on is indistinguishable from a
+new one, except that translated blocks of an unchanged image survive
+the re-flash.  ``snapshot=False`` never uses the pool.
 
 Seeding discipline: the run's seed is
 ``derive_seed(config.seed, "run", index)``; everything inside the run
@@ -42,10 +52,14 @@ from repro.campaign.faults import (
 from repro.campaign.oracle import Observation, Verdict, compare
 from repro.campaign.watchdog import RunWatchdog
 from repro.mcu.coverage import CoverageRecorder
+from repro.mcu.device import _blockcache_disabled, _deopt_forced
 from repro.power.harvester import RFHarvester
 from repro.runtime.executor import IntermittentExecutor, RunResult
 from repro.sim.kernel import BudgetExceeded, Simulator
 from repro.sim.rng import derive_seed
+# Called through the module so whatever wraps ``repro.snapshot``'s
+# capture and restore also sees the pool's.
+import repro.snapshot as snapshots
 from repro.testing import make_bench_target, make_fast_target, time_limit
 
 
@@ -174,25 +188,8 @@ def _harvested_target(sim: Simulator, plan: FaultPlan):
     return target
 
 
-def build_leg(
-    config: CampaignConfig,
-    adapter,
-    leg_seed: int,
-    plan: FaultPlan | None = None,
-    *,
-    bench: bool = False,
-    coverage: CoverageRecorder | None = None,
-) -> tuple:
-    """Build one leg's device, flashed and ready to run.
-
-    The target is harvested from ``plan`` (distance, fading, duty), the
-    bench supply with ``bench``, or otherwise the tethered control
-    target.  ``coverage`` is attached before flash, so flash-time
-    execution is recorded the same way on every path.  Callers install
-    the recorder, then the injectors, then the watchdog: the order
-    their hooks and watches fire in is behaviourally significant.
-    Returns ``(sim, target, program, executor)``.
-    """
+def _new_device(leg_seed: int, plan: FaultPlan | None, bench: bool) -> tuple:
+    """A newly built ``(sim, target)`` of the kind :func:`build_leg` asks for."""
     sim = Simulator(seed=leg_seed)
     # Campaign legs never read the trace store (observations come from
     # the adapter and the recorder hooks); heartbeat GPIO edges and
@@ -206,6 +203,99 @@ def build_leg(
         target = make_fast_target(sim)
     else:
         target = _harvested_target(sim, plan)
+    return sim, target
+
+
+#: Built devices kept per process for warm legs, at most
+#: ``_DEVICE_POOL_SIZE``, least recently used evicted first.  A fuzz
+#: campaign needs at most three (harvested, tethered, bench).
+_DEVICE_POOL_SIZE = 4
+
+#: Device key -> ``(sim, target, node, wiring)``: the device, the
+#: snapshot taken right after it was built, and its hook wiring then.
+_device_pool: dict[tuple, tuple] = {}
+
+#: Keys built cold lately, at most ``_RECENT_KEYS_SIZE``, oldest dropped
+#: first.  Only a key seen here is captured on its next cold build, so
+#: environments that never repeat (a sampled campaign's random draws)
+#: cost no capture and leave nothing behind.
+_RECENT_KEYS_SIZE = 32
+_recent_keys: dict[tuple, None] = {}
+
+
+def _device_key(plan: FaultPlan | None, bench: bool) -> tuple:
+    # Everything the build reads besides the seed, which is reseeded:
+    # the target kind, the harvesting environment, and the execution
+    # switches a device reads when it is built.
+    if bench:
+        shape: tuple = ("bench",)
+    elif plan is None:
+        shape = ("tethered",)
+    else:
+        shape = ("harvested", plan.distance_m, plan.fading_sigma, plan.duty)
+    return (*shape, _blockcache_disabled(), _deopt_forced())
+
+
+def _pooled_device(leg_seed: int, plan: FaultPlan | None, bench: bool) -> tuple:
+    """``(sim, target)`` as if newly built: warm from the pool if possible."""
+    key = _device_key(plan, bench)
+    entry = _device_pool.pop(key, None)
+    if entry is not None:
+        sim, target, node, wiring = entry
+        try:
+            snapshots.restore(target, node)
+        except snapshots.SnapshotIntegrityError:
+            pass  # the entry stays evicted; build cold
+        else:
+            snapshots.restore_wiring(target, wiring)
+            sim.rng.reseed(leg_seed)
+            _device_pool[key] = entry
+            return sim, target
+    sim, target = _new_device(leg_seed, plan, bench)
+    if key not in _recent_keys:
+        _recent_keys[key] = None
+        while len(_recent_keys) > _RECENT_KEYS_SIZE:
+            del _recent_keys[next(iter(_recent_keys))]
+    elif sim.rng.untouched:
+        # A seed-dependent build cannot serve another seed: keep only a
+        # device whose construction drew no randomness.
+        del _recent_keys[key]
+        _device_pool[key] = (
+            sim, target, snapshots.capture(target), snapshots.capture_wiring(target)
+        )
+        while len(_device_pool) > _DEVICE_POOL_SIZE:
+            del _device_pool[next(iter(_device_pool))]
+    return sim, target
+
+
+def build_leg(
+    config: CampaignConfig,
+    adapter,
+    leg_seed: int,
+    plan: FaultPlan | None = None,
+    *,
+    bench: bool = False,
+    coverage: CoverageRecorder | None = None,
+    snapshot: bool = False,
+) -> tuple:
+    """Build one leg's device, flashed and ready to run.
+
+    The target is harvested from ``plan`` (distance, fading, duty), the
+    bench supply with ``bench``, or otherwise the tethered control
+    target.  With ``snapshot`` the device may be a warm one from this
+    process's pool (see the module docstring); it is valid until the
+    next pooled build of the same kind, so only legs that finish before
+    building another pass it.  ``coverage`` is attached before flash,
+    so flash-time execution is recorded the same way on every path.
+    Callers install the recorder, then the injectors, then the
+    watchdog: the order their hooks and watches fire in is
+    behaviourally significant.  Returns ``(sim, target, program,
+    executor)``.
+    """
+    if snapshot:
+        sim, target = _pooled_device(leg_seed, plan, bench)
+    else:
+        sim, target = _new_device(leg_seed, plan, bench)
     if coverage is not None:
         target.cpu.coverage = coverage
     program = adapter.build(config.protect, config.iterations)
@@ -220,15 +310,18 @@ def run_intermittent_leg(
     plan: FaultPlan,
     leg_seed: int,
     coverage: CoverageRecorder | None = None,
+    *,
+    snapshot: bool = False,
 ) -> tuple[Observation, list[int], int]:
     """One intermittent execution under a fault plan.
 
     Returns the observation, the recorded brown-out schedule (ops per
     boot), and the number of injected brown-outs.  ``coverage``, when
-    given, records the leg's block entries.
+    given, records the leg's block entries; ``snapshot`` lets the leg
+    run on a warm device (see :func:`build_leg`).
     """
     sim, target, program, executor = build_leg(
-        config, adapter, leg_seed, plan, coverage=coverage
+        config, adapter, leg_seed, plan, coverage=coverage, snapshot=snapshot
     )
     recorder = RebootRecorder(target)
     injectors = _install_injectors(target, plan)
@@ -249,10 +342,12 @@ def run_intermittent_leg(
 
 
 def _run_continuous(
-    config: CampaignConfig, adapter, leg_seed: int
+    config: CampaignConfig, adapter, leg_seed: int, *, snapshot: bool = False
 ) -> tuple[Observation, bool]:
     """The control leg, and whether it consumed zero randomness."""
-    sim, target, program, executor = build_leg(config, adapter, leg_seed)
+    sim, target, program, executor = build_leg(
+        config, adapter, leg_seed, snapshot=snapshot
+    )
     with RunWatchdog(target, config.max_cycles, config.max_wall_s):
         result = executor.run_continuous(duration=config.duration)
     _harvest_tier_stats(target)
@@ -261,14 +356,14 @@ def _run_continuous(
 
 
 def run_continuous_leg(
-    config: CampaignConfig, adapter, leg_seed: int
+    config: CampaignConfig, adapter, leg_seed: int, *, snapshot: bool = False
 ) -> Observation:
     """The control: the same program on continuous (tethered) power."""
-    return _run_continuous(config, adapter, leg_seed)[0]
+    return _run_continuous(config, adapter, leg_seed, snapshot=snapshot)[0]
 
 
 def replay_with_schedule(
-    config: CampaignConfig, adapter, schedule: list[int]
+    config: CampaignConfig, adapter, schedule: list[int], *, snapshot: bool = False
 ) -> Observation:
     """Replay a brown-out schedule on a bench supply.
 
@@ -278,7 +373,8 @@ def replay_with_schedule(
     or it does not — the exact property the shrinker needs.
     """
     sim, target, program, executor = build_leg(
-        config, adapter, derive_seed(config.seed, "replay"), bench=True
+        config, adapter, derive_seed(config.seed, "replay"), bench=True,
+        snapshot=snapshot,
     )
     ScheduledBrownouts(target, list(schedule))
     with RunWatchdog(target, config.max_cycles, config.max_wall_s):
@@ -323,7 +419,8 @@ def execute_legs(config: CampaignConfig, run: Run, *, snapshot: bool) -> dict:
     ``snapshot`` is an execution-only switch (never part of the config,
     so it never appears in reports): it reuses the memoized continuous
     control leg (see :mod:`repro.campaign.forking`), which is verified
-    bit-identical to running the leg from reset.
+    bit-identical to running the leg from reset, and runs both legs on
+    warm devices (see :func:`build_leg`).
     """
     adapter = run.adapter
     if hasattr(adapter, "prepare"):
@@ -334,7 +431,7 @@ def execute_legs(config: CampaignConfig, run: Run, *, snapshot: bool) -> dict:
     try:
         intermittent, schedule, injected = run_intermittent_leg(
             config, adapter, run.plan, derive_seed(run.seed, "intermittent"),
-            coverage,
+            coverage, snapshot=snapshot,
         )
         if snapshot:
             from repro.campaign.forking import continuous_observation
@@ -419,10 +516,17 @@ def execute_run_safe(
 
 
 def verdict_for_schedule(
-    config: CampaignConfig, adapter, continuous: Observation, schedule: list[int]
+    config: CampaignConfig,
+    adapter,
+    continuous: Observation,
+    schedule: list[int],
+    *,
+    snapshot: bool = False,
 ) -> Verdict:
     """The oracle's ruling on a bench replay of ``schedule``."""
-    observation = replay_with_schedule(config, adapter, schedule)
+    observation = replay_with_schedule(
+        config, adapter, schedule, snapshot=snapshot
+    )
     return compare(observation, continuous, adapter.invariant_keys)
 
 

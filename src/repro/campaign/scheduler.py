@@ -440,7 +440,7 @@ def _shrink_pass(
                 # replay this and all later probes from reset.
                 sessions[adapter] = None
             return verdict_for_schedule(
-                config, adapter, continuous, candidate
+                config, adapter, continuous, candidate, snapshot=snapshot
             ).diverged
 
         minimal = shrink_schedule(record["observed_schedule"], still_fails)

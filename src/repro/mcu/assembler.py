@@ -82,6 +82,12 @@ class Program:
 
     def to_bytes(self) -> bytes:
         """Little-endian byte image suitable for loading into memory."""
+        return self._image
+
+    @functools.cached_property
+    def _image(self) -> bytes:
+        # Encoded once per image: a memoised program is flashed by
+        # every leg that runs it.
         out = bytearray()
         for word in self.words:
             out.append(word & 0xFF)

@@ -87,12 +87,17 @@ class _Block:
 
     ``thunks`` execute the run one closure per instruction, each fully
     updating PC/flags/memory exactly as :meth:`Cpu.step` would.  ``lo``/
-    ``hi`` bound the code bytes the block was compiled from (used for
-    write invalidation), and ``worst_cycles`` bounds the cycles one pass
-    can spend (used by the advisory energy guard).
+    ``hi`` bound the code bytes the block was compiled from and ``code``
+    holds those bytes (``None`` if they straddle regions): the block
+    stays good exactly while memory still holds them.  ``valid`` is
+    false while that is unverified or known false, and
+    ``worst_cycles`` bounds the cycles one pass can spend (used by the
+    advisory energy guard).
     """
 
-    __slots__ = ("start", "lo", "hi", "thunks", "worst_cycles", "valid", "end_pc")
+    __slots__ = (
+        "start", "lo", "hi", "code", "thunks", "worst_cycles", "valid", "end_pc",
+    )
 
 
 class Cpu:
@@ -147,10 +152,13 @@ class Cpu:
         self.blocks_translated = 0
         self.blocks_executed = 0
         self.blocks_deopts = 0
+        # Blocks survive as long as their code bytes do: a store over a
+        # block, or an out-of-band edit, costs a byte compare, and only
+        # changed bytes force a retranslation.
         self._block_cache: dict[int, _Block] = {}
         self._block_index: dict[int, list[_Block]] = {}  # page -> blocks
-        self._blk_lo = 0  # address span covered by any live block
-        self._blk_hi = 0  # (lo == hi means no live blocks)
+        self._blk_lo = 0  # address span covered by any cached block
+        self._blk_hi = 0  # (lo == hi means no cached blocks)
         self._no_block: set[int] = set()  # PCs translation refused
         self._watch_pcs: set[int] = set()
         # The write observer that keeps both caches honest is installed
@@ -213,15 +221,21 @@ class Cpu:
 
     # -- decoded-instruction cache -----------------------------------------
     def invalidate_decode_cache(self) -> None:
-        """Drop every cached decode and translated block.
+        """Forget every cached decode; recheck every block before it runs.
 
-        Call after out-of-band code edits.  Re-decoding is a lookup in
-        the shared decoded-instruction table, so the next dispatch only
-        recompiles each block's thunks.
+        Call after out-of-band code edits (a snapshot restore, a bit
+        flip through the region layer).  Re-decoding is a lookup in the
+        shared decoded-instruction table.  Translated blocks are kept
+        but marked unverified: the next dispatch of each compares its
+        code bytes with memory and retranslates only on a difference,
+        and a block running when this is called stops at its next
+        instruction.
         """
         self._decode_cache.clear()
         self._cache_lo = self._cache_hi = 0
-        self._drop_blocks()
+        for block in self._block_cache.values():
+            block.valid = False
+        self._no_block.clear()
 
     def _on_memory_write(self, address: int, width: int) -> None:
         # One range overlap test per store; a hit wipes the whole decode
@@ -234,10 +248,10 @@ class Cpu:
         ):
             self._decode_cache.clear()
             self._cache_lo = self._cache_hi = 0
-        # Blocks are invalidated precisely through the per-page index: a
+        # Blocks are checked precisely through the per-page index: a
         # store that misses every block's byte span cannot change block
-        # semantics (thunks never consult the decode cache), so blocks
-        # survive the wholesale decode wipe above.
+        # semantics (thunks never consult the decode cache), and one
+        # that rewrites a block's bytes with equal values keeps it.
         if (
             self._block_index
             and address < self._blk_hi
@@ -246,29 +260,50 @@ class Cpu:
             end = address + width
             shift = MemoryMap.PAGE_SHIFT
             index = self._block_index
-            cache = self._block_cache
+            hit = None
             for page in range(address >> shift, ((end - 1) >> shift) + 1):
-                bucket = index.pop(page, None)
-                if bucket is None:
-                    continue
-                keep = None
-                for block in bucket:
-                    if block.valid and (end <= block.lo or address >= block.hi):
-                        if keep is None:
-                            keep = [block]
-                        else:
-                            keep.append(block)
-                    elif block.valid:
-                        block.valid = False
-                        cache.pop(block.start, None)
-                if keep is not None:
-                    index[page] = keep
+                for block in index.get(page, ()):
+                    if address < block.hi and end > block.lo:
+                        if hit is None:
+                            hit = [block]
+                        elif block not in hit:
+                            hit.append(block)
+            if hit is not None:
+                for block in hit:
+                    self._recheck(block)
             if self._no_block:
                 # The store may have turned an untranslatable PC into a
                 # translatable one (or vice versa); re-probe lazily.
                 self._no_block.clear()
 
     # -- block cache bookkeeping -------------------------------------------
+    def _code_bytes(self, lo: int, hi: int) -> bytes | None:
+        """Memory's current bytes ``[lo, hi)``, or ``None`` across regions."""
+        try:
+            region = self.memory.region_at(lo, hi - lo)
+        except MemoryFault:
+            return None
+        return region.peek_bytes(lo, hi - lo)
+
+    def _recheck(self, block: _Block) -> bool:
+        """Keep ``block`` if memory still holds its code, else evict it."""
+        code = block.code
+        if code is not None and self._code_bytes(block.lo, block.hi) == code:
+            block.valid = True
+            return True
+        block.valid = False
+        if self._block_cache.get(block.start) is block:
+            del self._block_cache[block.start]
+        shift = MemoryMap.PAGE_SHIFT
+        index = self._block_index
+        for page in range(block.lo >> shift, ((block.hi - 1) >> shift) + 1):
+            bucket = index.get(page)
+            if bucket is not None and block in bucket:
+                bucket.remove(block)
+                if not bucket:
+                    del index[page]
+        return False
+
     def _drop_blocks(self) -> None:
         """Destroy every translated block."""
         for block in self._block_cache.values():
@@ -440,7 +475,7 @@ class Cpu:
             return 1
         pc = self._registers[PC]
         block = self._block_cache.get(pc)
-        if block is None:
+        if block is None or not (block.valid or self._recheck(block)):
             if pc in self._no_block:
                 self.step()
                 return 1
@@ -524,6 +559,7 @@ class Cpu:
         block.start = start
         block.lo = start
         block.hi = at
+        block.code = self._code_bytes(start, at)
         block.thunks = tuple(thunks)
         block.worst_cycles = worst
         block.valid = True

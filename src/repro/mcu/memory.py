@@ -137,6 +137,11 @@ class MemoryRegion:
         self.reads += 1
         return bytes(self._data[offset : offset + count])
 
+    def peek_bytes(self, address: int, count: int) -> bytes:
+        """Read ``count`` raw bytes without counting an access."""
+        offset = self._offset(address, count)
+        return bytes(self._data[offset : offset + count])
+
     def write_bytes(self, address: int, data: bytes | bytearray) -> None:
         """Write raw bytes."""
         offset = self._offset(address, len(data))

@@ -48,6 +48,16 @@ class RngHub:
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
 
+    def reseed(self, seed: int) -> None:
+        """Start over as a fresh hub seeded with ``seed``, in place.
+
+        Consumers hold the hub itself (harvesters, the ADC), so a reused
+        simulation is reseeded rather than handed a new hub.
+        """
+        self.seed = seed
+        self._streams = {}
+        self._touched = False
+
     def gauss(self, name: str, mu: float, sigma: float) -> float:
         """One Gaussian draw from the named stream."""
         return self.stream(name).gauss(mu, sigma)

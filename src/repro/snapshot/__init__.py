@@ -10,6 +10,11 @@ clock and the pending-event queue — so that restoring it and resuming
 execution is bit-identical to never having stopped.  That is the same
 correctness bar the campaign engine's byte-identical reports impose,
 and it is enforced by the property tests in ``tests/test_snapshot.py``.
+Derived caches are not state: a restore invalidates them, but the CPU's
+translated blocks survive wherever the restored memory still holds
+their code bytes, so a device restored to a node of the same image
+runs warm.  That is what lets campaign legs reuse one built device
+(:func:`repro.campaign.runner.build_leg`).
 
 Two capture modes:
 
@@ -36,8 +41,11 @@ Deliberately *not* captured:
 - hook/listener registrations (``on_reboot``, watches, write
   observers, trace listeners): those are wiring, not state.  (The
   work-unit counters and each watch's armed triggers *are* captured.)
-  Stateful hook owners (the campaign's fault injectors) expose their
-  own ``export_state``/``restore_state`` and are handled by callers;
+  :func:`capture_wiring`/:func:`restore_wiring` record and put back
+  the registrations campaign legs make, for callers that reuse one
+  device across legs.  Stateful hook owners (the campaign's fault
+  injectors) expose their own ``export_state``/``restore_state`` and
+  are handled by callers;
 - callbacks in the event queue are captured *by reference*: snapshots
   live in-process and fork within one worker, so closures stay valid.
 """
@@ -103,12 +111,14 @@ def _snapshot_integrity(
 
     Region names participate so pages cannot silently swap regions;
     iteration is sorted so the checksum is independent of dict order.
+    A region's pages are checksummed as one joined run (CRC32 of a
+    concatenation equals the CRC chained page by page), which saves a
+    call per page.
     """
     crc = zlib.crc32(repr(registers).encode("ascii"))
     for name in sorted(pages):
         crc = zlib.crc32(name.encode("utf-8"), crc)
-        for page in pages[name]:
-            crc = zlib.crc32(page, crc)
+        crc = zlib.crc32(b"".join(pages[name]), crc)
     return crc
 
 
@@ -333,7 +343,10 @@ def restore(
 
     Derived caches — the CPU's decoded-instruction cache, the GPIO load
     current sum — are invalidated; they rebuild lazily and are keyed on
-    the restored state.  Live host-side simulator events are preserved.
+    the restored state.  Translated blocks are kept: each is checked
+    against the restored code bytes at its next dispatch and
+    retranslated only if they differ.  Live host-side simulator events
+    are preserved.
 
     The snapshot's checksum is verified *before* the device is touched;
     a payload that rotted since capture (a host-fault-injected bit
@@ -381,7 +394,8 @@ def restore(
     if tracker is not None:
         tracker.resync(snap.memory_pages)
     # Memory changed behind the map's observers: decoded instructions
-    # may describe bytes that no longer exist.
+    # may describe bytes that no longer exist, and every block must
+    # match the restored bytes before it runs again.
     device.cpu.invalidate_decode_cache()
 
     cpu = device.cpu
@@ -443,10 +457,78 @@ def restore(
     # The environment (clock, power state, source attributes) changed
     # behind the caches' invalidation hooks: drop the device's memoized
     # spend window so batched energy accounting re-derives itself from
-    # the restored state.  Translated blocks were already dropped by
-    # ``invalidate_decode_cache`` above; the next dispatch recompiles
-    # them from the process-wide decoded-instruction table, which is
-    # keyed by code content and so survives the restore — the "cheaply
-    # rebuild" half of the snapshot contract.
+    # the restored state.  Translated blocks survive where the restored
+    # code bytes equal theirs (``invalidate_decode_cache`` above marked
+    # them for that check); the rest recompile from the process-wide
+    # decoded-instruction table, which is keyed by code content — the
+    # "cheaply rebuild" half of the snapshot contract.
     power.invalidate_env()
     device.invalidate_energy_window()
+
+
+def capture_wiring(device: TargetDevice) -> tuple:
+    """The hook registrations on ``device`` that :func:`capture` omits.
+
+    Device reboot/marker hooks and watches, the loaded ISA image, power
+    change hooks, memory write and out-of-band observers (all but the
+    CPU's own cache observer), the CPU's ports, mark hook, coverage
+    recorder and watched PCs, and the set of declared GPIO pins.  Two
+    captures compare equal exactly when the registrations are the same.
+    """
+    cpu = device.cpu
+    memory = device.memory
+    own = cpu._on_memory_write
+    return (
+        tuple(device.on_reboot),
+        tuple(device.on_code_marker),
+        tuple(device._watches),
+        device._program,
+        tuple(device.power.on_power_change),
+        tuple(hook for hook in memory.write_observers if hook != own),
+        tuple(memory.oob_write_observers),
+        dict(cpu.ports_out),
+        dict(cpu.ports_in),
+        cpu.on_mark,
+        cpu.coverage,
+        cpu.watch_pcs,
+        tuple(device.gpio._pins),
+    )
+
+
+def restore_wiring(device: TargetDevice, wiring: tuple) -> None:
+    """Put back registrations taken by :func:`capture_wiring`.
+
+    Every hook registered since is dropped, and GPIO pins declared
+    since are forgotten.  The CPU's own write observer stays installed
+    once it is, so its translated blocks keep seeing stores.
+    """
+    (
+        on_reboot, on_code_marker, watches, program, on_power_change,
+        write_observers, oob_observers, ports_out, ports_in, on_mark,
+        coverage, watch_pcs, pins,
+    ) = wiring
+    cpu = device.cpu
+    memory = device.memory
+    device.on_reboot[:] = on_reboot
+    device.on_code_marker[:] = on_code_marker
+    device._watches[:] = watches
+    device._rearm()
+    device._program = program
+    device.power.on_power_change[:] = on_power_change
+    memory.write_observers[:] = write_observers
+    if cpu._observing:
+        memory.write_observers.append(cpu._on_memory_write)
+    memory.oob_write_observers[:] = oob_observers
+    cpu.ports_out.clear()
+    cpu.ports_out.update(ports_out)
+    cpu.ports_in.clear()
+    cpu.ports_in.update(ports_in)
+    cpu.on_mark = on_mark
+    cpu.coverage = coverage
+    if cpu.watch_pcs != watch_pcs:
+        cpu._watch_pcs = set(watch_pcs)
+        cpu._drop_blocks()
+    gpio = device.gpio
+    for name in [name for name in gpio._pins if name not in pins]:
+        del gpio._pins[name]
+    gpio._load_current_cache = None
