@@ -10,9 +10,13 @@ forking off and on, and with the lane engine off and on; all four must
 produce the one pinned digest, because those switches are
 execution-only.
 
-A scripted JSON-RPC debug session with an energy breakpoint pins the
-debugger board's pending-breakpoint service path the same way: the
-digest covers every wire response line.
+Scripted JSON-RPC debug sessions pin the debugger the same way, by a
+digest over every wire response line: one with an energy breakpoint
+(the board's pending-breakpoint service path), one shaped like the
+benchmark's debug session (live energy trace, breakpoint actions,
+forty tethered memory reads, a paged ``trace.poll``), one with RF
+fading (hold windows that end inside save/restore control loops), and
+one of explicit ``energy.charge``/``energy.discharge`` calls.
 
 A digest change means report bytes moved.  That is a behaviour change,
 never a refactor: find the cause instead of re-pinning.  The module is
@@ -28,6 +32,7 @@ import json
 
 import pytest
 
+from repro.analog.charge_circuit import ChargeDischargeCircuit
 from repro.campaign.config import CampaignConfig
 from repro.campaign.forking import ForkSession
 from repro.campaign.report import render_json
@@ -35,6 +40,7 @@ from repro.campaign.scheduler import run_campaign
 from repro.debug.server import handle_line
 from repro.debug.service import DebugService
 from repro.mcu.memory import FRAM_BASE
+from repro.power.harvester import RFHarvester
 
 pytestmark = pytest.mark.blockcache
 
@@ -168,23 +174,39 @@ DEBUG_DIGEST = (
 )
 
 
-def _debug_transcript() -> str:
+def _transcript(script) -> str:
+    """Every wire response line of ``script``, run on a fresh service.
+
+    ``trace.poll`` pages until nothing remains, taking the cursor from
+    the previous page as a real client would.
+    """
     service = DebugService()
     lines = []
     try:
         sid = None
-        for n, (method, params) in enumerate(DEBUG_SCRIPT):
+        n = 0
+        for method, params in script:
             if sid is not None:
                 params = {"session": sid, **params}
-            request = {"jsonrpc": "2.0", "id": n, "method": method,
-                       "params": params}
-            response = handle_line(service, json.dumps(request) + "\n")
-            lines.append(response)
-            if sid is None:
-                sid = json.loads(response)["result"]["session"]
+            while True:
+                request = {"jsonrpc": "2.0", "id": n, "method": method,
+                           "params": params}
+                n += 1
+                response = handle_line(service, json.dumps(request) + "\n")
+                lines.append(response)
+                if sid is None:
+                    sid = json.loads(response)["result"]["session"]
+                page = json.loads(response).get("result")
+                if method != "trace.poll" or not page or not page["remaining"]:
+                    break
+                params = {**params, "cursor": page["next_cursor"]}
     finally:
         service.close_all()
     return "".join(lines)
+
+
+def _debug_transcript() -> str:
+    return _transcript(DEBUG_SCRIPT)
 
 
 def test_debug_session_digest_is_pinned():
@@ -201,3 +223,123 @@ def test_debug_session_hits_energy_breakpoints():
     for log in (results[4], results[7]):
         assert log["stops"]
         assert all(s["reason"] == "energy_breakpoint" for s in log["stops"])
+
+
+def _mem_reads(count: int, seed: int) -> list:
+    """``count`` fixed-pattern FRAM reads, a ``regs.read`` every fourth."""
+    script = []
+    for k in range(count):
+        offset = (k * 2 * 197 + seed) % 1024 & ~1
+        script.append(("mem.read", {"address": FRAM_BASE + offset,
+                                    "count": (2, 4, 8, 16)[k % 4]}))
+        if k % 4 == 3:
+            script.append(("regs.read", {}))
+    return script
+
+
+#: The benchmark's debug-session shape: live energy trace, an energy
+#: breakpoint whose hits read FRAM and recharge, a long run, forty
+#: tethered memory reads (each a save/restore bracket), then the whole
+#: event list paged out.
+PERFBENCH_SCRIPT = [
+    ("session.create", {"app": "fibonacci", "seed": 90210,
+                        "iterations": 198, "distance_m": 1.6}),
+    ("trace.enable", {"stream": "energy"}),
+    ("energy.charge", {"volts": 2.4}),
+    ("break.on_hit", {"actions": [
+        {"op": "read_u16", "address": FRAM_BASE},
+        {"op": "charge", "volts": 2.3},
+    ]}),
+    ("break.add_energy", {"threshold_v": 2.0}),
+    ("run", {"duration": 2.0}),
+    *_mem_reads(40, 7),
+    ("break.log", {}),
+    ("trace.poll", {"stream": "energy", "limit": 256}),
+    ("session.status", {}),
+    ("session.close", {}),
+]
+
+#: RF fading on: the harvester redraws every 10 ms, so hold windows
+#: end in the middle of save/restore control loops.
+FADING_SCRIPT = [
+    ("session.create", {"app": "linked_list", "seed": 515,
+                        "iterations": 400, "distance_m": 1.5,
+                        "fading_sigma": 3.0}),
+    ("trace.enable", {"stream": "energy"}),
+    ("break.on_hit", {"actions": [
+        {"op": "read_u16", "address": FRAM_BASE},
+        {"op": "charge", "volts": 2.35},
+    ]}),
+    ("break.add_energy", {"threshold_v": 2.2}),
+    ("run", {"duration": 0.3}),
+    *_mem_reads(24, 3),
+    ("break.log", {}),
+    ("trace.poll", {"limit": 512}),
+    ("session.status", {}),
+]
+
+#: Console-style energy manipulation through the wire, untraced; the
+#: discharge to 1.2 V cannot out-pull the harvester and times out.
+ENERGY_SCRIPT = [
+    ("session.create", {"app": "fibonacci", "seed": 31337,
+                        "iterations": 64}),
+    ("energy.charge", {"volts": 2.5}),
+    ("regs.read", {}),
+    ("energy.discharge", {"volts": 2.0}),
+    ("energy.vcap", {}),
+    ("run", {"duration": 0.05}),
+    ("energy.charge", {"volts": 3.1}),
+    ("regs.read", {}),
+    ("energy.discharge", {"volts": 1.2}),
+    ("energy.charge", {"volts": 2.41}),
+    ("energy.discharge", {"volts": 2.39}),
+    ("energy.vcap", {}),
+    ("regs.read", {}),
+    ("session.status", {}),
+]
+
+TRANSCRIPTS = {
+    "perfbench_shape": (
+        PERFBENCH_SCRIPT,
+        "fc4f1f0274446c7f0030b0a7e92111234650afa0473e3fe2c1c192fcf9b44feb",
+    ),
+    "fading": (
+        FADING_SCRIPT,
+        "ba61211333ca5241914af31b5e390e5845f6492d520c180d698faf6d870a03cd",
+    ),
+    "energy_manipulation": (
+        ENERGY_SCRIPT,
+        "46c215159c39743360e5897222cbb316b2534b028c4f5cf0b8907e11a4e9dcd5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
+def test_transcript_digest_is_pinned(name):
+    script, expected = TRANSCRIPTS[name]
+    assert _digest(_transcript(script)) == expected
+
+
+def test_fading_transcript_redraws_inside_restores(monkeypatch):
+    """The fading case must really end hold windows mid-restore."""
+    depth = [0]
+    redraws = []
+    restore_to = ChargeDischargeCircuit.restore_to
+    fade_db_at = RFHarvester._fade_db_at
+
+    def restoring(circuit, v_target):
+        depth[0] += 1
+        try:
+            return restore_to(circuit, v_target)
+        finally:
+            depth[0] -= 1
+
+    def fading(source, t):
+        if depth[0] and t >= source._fade_until:
+            redraws.append(t)
+        return fade_db_at(source, t)
+
+    monkeypatch.setattr(ChargeDischargeCircuit, "restore_to", restoring)
+    monkeypatch.setattr(RFHarvester, "_fade_db_at", fading)
+    _transcript(FADING_SCRIPT)
+    assert redraws
