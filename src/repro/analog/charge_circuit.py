@@ -24,6 +24,8 @@ measures:
 
 from __future__ import annotations
 
+import math
+
 from repro.mcu.adc import Adc
 from repro.power.supply import PowerSystem
 from repro.sim import units
@@ -70,6 +72,12 @@ class ChargeDischargeCircuit:
         filter_capacitance: float = 3.3 * units.UF,
         diode_drop: float = 0.25,
     ) -> None:
+        if not charge_current > 0.0:
+            raise ValueError(f"charge current must be positive (got {charge_current})")
+        if not 0.0 < control_period < math.inf:
+            raise ValueError(
+                f"control period must be positive and finite (got {control_period})"
+            )
         self.sim = sim
         self.power = power
         self.adc = adc
@@ -85,14 +93,6 @@ class ChargeDischargeCircuit:
         self.discharge_operations = 0
 
     # -- internals --------------------------------------------------------
-    def _measured_vcap(self) -> float:
-        return self.adc.measure(self.power.vcap)
-
-    def _tick(self) -> None:
-        """One control period of simulated time at idle target load."""
-        self.sim.advance(self.control_period)
-        self.power.idle_step(self.control_period)
-
     def _filter_dump(self) -> None:
         """The post-charge filter-capacitor dump through the keeper diode.
 
@@ -109,6 +109,75 @@ class ChargeDischargeCircuit:
         delta_v = charge * spread / self.power.capacitor.capacitance
         self.power.capacitor.voltage = self.power.vcap + delta_v
 
+    def _control(
+        self, v_target: float, timeout: float, charge_current: float | None
+    ) -> None:
+        """The control loop both directions share.
+
+        Each tick measures Vcap through the ADC, stops once the
+        measurement crosses ``v_target``, else drives the capacitor for
+        one control period and lets one period of simulated time pass
+        at idle target load (``sim.advance`` then ``power.idle_step``,
+        inlined up to the idle step).  ``charge_current`` charges with
+        a pulse-width-modulated final approach; ``None`` discharges
+        through the coarse, then the fine, load.
+        """
+        sim = self.sim
+        power = self.power
+        measure = self.adc.measure
+        idle_step = power.idle_step
+        capacitor = power.capacitor
+        capacitance = capacitor.capacitance
+        vmax = capacitor.max_voltage
+        period = self.control_period
+        charging = charge_current is not None
+        deadline = sim.now + timeout
+        while True:
+            measured = measure(capacitor._voltage)
+            if charging:
+                if not measured < v_target:
+                    return
+            elif not measured > v_target:
+                return
+            v = capacitor._voltage
+            if sim._now >= deadline:
+                loop = "charge_to" if charging else "discharge_to"
+                raise TimeoutError(f"{loop}({v_target:.3f}) stuck at {v:.3f} V")
+            if charging:
+                # Pulse-width modulate the final approach: never deliver
+                # (much) more charge than the remaining gap needs.
+                gap = v_target - measured + 1e-3
+                pulse = min(period, capacitance * gap / charge_current)
+                current = charge_current
+            else:
+                # Stage selection: use the coarse load only while a full
+                # control period of it cannot overshoot the setpoint
+                # (plus the configured band); finish with the fine load,
+                # whose per-period step bounds the final undershoot.
+                gap = measured - v_target
+                coarse_current = v / self.discharge_resistance
+                coarse_step = coarse_current * period / capacitance
+                if gap > coarse_step + self.coarse_band:
+                    current = -coarse_current
+                else:
+                    current = -(v / self.fine_discharge_resistance)
+                pulse = period
+            # StorageCapacitor.apply_current, clamp as its voltage setter.
+            v = v + current * pulse / capacitance
+            if v < 0.0:
+                v = 0.0
+            elif v > vmax:
+                v = vmax
+            capacitor._voltage = v
+            # Simulator.advance(period).
+            now = sim._now + period
+            queue = sim._queue
+            if not queue or queue[0].time > now:
+                sim._now = now
+            else:
+                sim._sweep_to(now)
+            idle_step(period)
+
     # -- public control loops ------------------------------------------------
     def charge_to(
         self, v_target: float, timeout: float = 1.0, fine: bool = False
@@ -121,20 +190,9 @@ class ChargeDischargeCircuit:
         """
         if v_target <= 0.0:
             raise ValueError(f"target voltage must be positive (got {v_target})")
-        current = self.charge_current * (0.1 if fine else 1.0)
-        deadline = self.sim.now + timeout
-        capacitance = self.power.capacitor.capacitance
-        while (measured := self._measured_vcap()) < v_target:
-            if self.sim.now >= deadline:
-                raise TimeoutError(
-                    f"charge_to({v_target:.3f}) stuck at {self.power.vcap:.3f} V"
-                )
-            # Pulse-width modulate the final approach: never deliver
-            # (much) more charge than the remaining gap needs.
-            gap = v_target - measured + 1e-3
-            pulse = min(self.control_period, capacitance * gap / current)
-            self.power.capacitor.apply_current(current, pulse)
-            self._tick()
+        self._control(
+            v_target, timeout, self.charge_current * (0.1 if fine else 1.0)
+        )
         self._filter_dump()
         self.charge_operations += 1
         self.sim.trace.record("edb.charge", self.power.vcap, target=v_target)
@@ -151,26 +209,7 @@ class ChargeDischargeCircuit:
         """
         if v_target < 0.0:
             raise ValueError(f"target voltage must be non-negative (got {v_target})")
-        deadline = self.sim.now + timeout
-        while (measured := self._measured_vcap()) > v_target:
-            if self.sim.now >= deadline:
-                raise TimeoutError(
-                    f"discharge_to({v_target:.3f}) stuck at {self.power.vcap:.3f} V"
-                )
-            # Stage selection: use the coarse load only while a full
-            # control period of it cannot overshoot the setpoint (plus
-            # the configured band); finish with the fine load, whose
-            # per-period step bounds the final undershoot.
-            capacitance = self.power.capacitor.capacitance
-            gap = measured - v_target
-            coarse_current = self.power.vcap / self.discharge_resistance
-            coarse_step = coarse_current * self.control_period / capacitance
-            if gap > coarse_step + self.coarse_band:
-                current = coarse_current
-            else:
-                current = self.power.vcap / self.fine_discharge_resistance
-            self.power.capacitor.apply_current(-current, self.control_period)
-            self._tick()
+        self._control(v_target, timeout, None)
         self.discharge_operations += 1
         self.sim.trace.record("edb.discharge", self.power.vcap, target=v_target)
         return self.power.vcap

@@ -107,10 +107,15 @@ class EDBBoard:
         power = device.power
         self.circuit = ChargeDischargeCircuit(self.sim, power, self.adc)
         self.energy = EnergyStateManager(self.sim, power, self.adc, self.circuit)
+        # The 4 kHz sampler's probes: power.vcap and power.vreg without
+        # the property hops.
+        measure = self.adc.measure
+        capacitor = power.capacitor
+        vreg = power.regulator.output_voltage
         self.monitor = PassiveMonitor(
             self.sim,
-            read_vcap=lambda: self.adc.measure(power.vcap),
-            read_vreg=lambda: self.adc.measure(power.vreg),
+            read_vcap=lambda: measure(capacitor._voltage),
+            read_vreg=lambda: measure(vreg(capacitor._voltage)),
             sample_rate=self.sample_rate,
         )
         device.on_code_marker.append(self._on_code_marker)

@@ -103,9 +103,16 @@ class PassiveMonitor:
             listener(event)
 
     def _sample_energy(self) -> None:
+        # ``_emit`` in one pass, with its ADC draw order: the value's
+        # Vcap, then Vreg, then the event's Vcap context.
         if "energy" not in self.enabled:
             return
-        self._emit("energy", {"vcap": self.read_vcap(), "vreg": self.read_vreg()})
+        read_vcap = self.read_vcap
+        value = {"vcap": read_vcap(), "vreg": self.read_vreg()}
+        event = StreamEvent(self.sim._now, "energy", value, read_vcap())
+        self.events.append(event)
+        for listener in self.listeners:
+            listener(event)
 
     def on_watchpoint(self, watchpoint_id: int) -> None:
         """Called by the board when the marker decoder sees a hit."""

@@ -72,6 +72,13 @@ EXPIRED_MEMORY = 64
 
 def _jsonable(value: Any) -> Any:
     """Fold simulator values into JSON-representable ones."""
+    # Exact-type fast path for what trace events carry (floats and
+    # plain dicts of them); subclasses take the general chain below.
+    kind = type(value)
+    if kind is float or kind is int or kind is str or kind is bool or value is None:
+        return value
+    if kind is dict:
+        return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (bytes, bytearray)):
         return {"hex": bytes(value).hex()}
     if isinstance(value, dict):
@@ -100,6 +107,17 @@ def _param(params: dict, name: str, kind, default=..., convert=None):
             f"got {type(value).__name__}"
         )
     return convert(value) if convert else value
+
+
+def _check_volts(op: str, volts: float) -> float:
+    """``volts`` as a ``charge`` (``0 < v <= 5.5``) or ``discharge``
+    (``0 <= v <= 5.5``) target; :class:`InvalidParams` otherwise."""
+    if op == "charge":
+        if not 0.0 < volts <= 5.5:
+            raise InvalidParams(f"charge volts {volts} out of range (0, 5.5]")
+    elif not 0.0 <= volts <= 5.5:
+        raise InvalidParams(f"discharge volts {volts} out of range [0, 5.5]")
+    return volts
 
 
 class _BreakAction:
@@ -131,8 +149,10 @@ class _BreakAction:
             raise InvalidParams(f"action {self.op!r} needs an address")
         if self.op == "write_u16" and self.value is None:
             raise InvalidParams('action "write_u16" needs a value')
-        if self.op in ("charge", "discharge") and self.volts is None:
-            raise InvalidParams(f"action {self.op!r} needs volts")
+        if self.op in ("charge", "discharge"):
+            if self.volts is None:
+                raise InvalidParams(f"action {self.op!r} needs volts")
+            _check_volts(self.op, self.volts)
 
     def apply(self, session: InteractiveSession) -> Any:
         if self.op == "read":
@@ -607,18 +627,13 @@ class DebugService:
     # -- energy manipulation ---------------------------------------------------
     def _energy_charge(self, params: dict) -> dict:
         session = self._get(params)
-        return {"vcap": session.edb.charge(self._volts(params))}
+        volts = _check_volts("charge", _param(params, "volts", float))
+        return {"vcap": session.edb.charge(volts)}
 
     def _energy_discharge(self, params: dict) -> dict:
         session = self._get(params)
-        return {"vcap": session.edb.discharge(self._volts(params))}
-
-    @staticmethod
-    def _volts(params: dict) -> float:
-        volts = _param(params, "volts", float)
-        if not 0.0 <= volts <= 5.5:
-            raise InvalidParams(f"volts {volts} out of range 0..5.5")
-        return volts
+        volts = _check_volts("discharge", _param(params, "volts", float))
+        return {"vcap": session.edb.discharge(volts)}
 
     def _energy_vcap(self, params: dict) -> dict:
         session = self._get(params)

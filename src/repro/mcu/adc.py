@@ -52,16 +52,10 @@ class Adc:
         self._rng = rng
         self._stream = stream
         self.samples_taken = 0
-
-    @property
-    def max_code(self) -> int:
-        """Largest output code (``2^bits - 1``)."""
-        return (1 << self.bits) - 1
-
-    @property
-    def lsb_volts(self) -> float:
-        """Voltage represented by one code step."""
-        return self.reference_voltage / (1 << self.bits)
+        #: Largest output code (``2^bits - 1``).
+        self.max_code = (1 << bits) - 1
+        #: Voltage represented by one code step.
+        self.lsb_volts = reference_voltage / (1 << bits)
 
     def sample(self, voltage: float) -> int:
         """Digitise ``voltage`` to an output code (clamped to range)."""
@@ -76,8 +70,21 @@ class Adc:
         return code * self.lsb_volts
 
     def measure(self, voltage: float) -> float:
-        """Digitise and convert back: the voltage as the MCU perceives it."""
-        return self.to_volts(self.sample(voltage))
+        """Digitise and convert back: the voltage as the MCU perceives it.
+
+        ``sample`` and ``to_volts`` in one call: the energy sampler and
+        the charge/discharge control loops measure on every tick.
+        """
+        if self.noise_sigma_v > 0.0 and self._rng is not None:
+            voltage += self._rng.gauss(self._stream, 0.0, self.noise_sigma_v)
+        lsb = self.lsb_volts
+        code = round(voltage / lsb)
+        self.samples_taken += 1
+        if code < 0:
+            code = 0
+        elif code > self.max_code:
+            code = self.max_code
+        return code * lsb
 
 
 class AdcChannelMux:

@@ -101,6 +101,8 @@ class PowerSystem:
         # pair is measurable there.  Keyed by source identity so a
         # tether swap naturally misses.
         self._probe_cache: tuple | None = None
+        # Memoised constants of ``idle_step`` (see there).
+        self._idle_window: _IdleWindow | None = None
         self._refresh_state(initial=True)
 
     # -- observers --------------------------------------------------------
@@ -252,11 +254,101 @@ class PowerSystem:
     def idle_step(self, dt: float) -> None:
         """Advance the electrical state with the load powered off.
 
-        Used for the charging portion of each charge/discharge cycle:
+        Every tick of EDB's charge/discharge control loops runs one:
         only the harvester (or tether) and any injected debugger current
         act on the capacitor.
+
+        Replays ``step(dt, 0.0)`` bit for bit (same expressions, operand
+        order, clamps and comparator transitions — the discipline
+        ``_charge_fast_forward`` follows) from memoised constants: the
+        Thevenin pair, ``exp(-dt/tau)``, the regulator's quiescent draw
+        and the leakage factor.  The constants are rebuilt whenever one
+        may have changed: another ``dt``, a bump of the environment
+        epoch (a new injected current, a tether swap, a comparator
+        reset, :meth:`invalidate_env`), a changed ``enabled`` or
+        ``distance_m`` on the active source (environment events set
+        those directly; the device's spend window checks them too), or
+        the clock reaching the source's hold bound.  A source
+        without ``hold_until``, a dead capacitor (the regulator draws
+        nothing) and a non-positive ``dt`` take ``step`` itself.
         """
-        self.step(dt, load_current=0.0)
+        window = self._idle_window
+        source = self._tether if self._tether is not None else self.source
+        if not (
+            window is not None
+            and window.dt == dt
+            and window.epoch == self._env_epoch
+            and self.sim._now < window.bound
+            and (not window.has_enabled or source.enabled == window.enabled)
+            and (
+                not window.has_distance or source.distance_m == window.distance
+            )
+        ):
+            window = self._idle_window = self._build_idle_window(dt, source)
+        capacitor = self.capacitor
+        v = capacitor._voltage
+        if window is None or not v > 0.0:
+            self.step(dt, 0.0)
+            return
+        if window.voc > v:
+            new_v = window.v_inf + (v - window.v_inf) * window.exp_charge
+        else:
+            new_v = v - window.lin_delta
+        # Branch-chain clamps: bit-identical to the voltage setter's
+        # min(max(v, 0.0), vmax), as in TargetDevice.execute_cycles.
+        vmax = capacitor.max_voltage
+        if new_v < 0.0:
+            new_v = 0.0
+        elif new_v > vmax:
+            new_v = vmax
+        leak_factor = window.leak_factor
+        if leak_factor is not None and new_v > 0.0:
+            new_v = new_v * leak_factor
+            if new_v < 0.0:
+                new_v = 0.0
+            elif new_v > vmax:
+                new_v = vmax
+        capacitor._voltage = new_v
+        if self._state is PowerState.ON:
+            if new_v < self.brownout_voltage and self._tether is None:
+                self._refresh_state()
+        elif new_v >= self.turn_on_voltage:
+            self._refresh_state()
+
+    def _build_idle_window(
+        self, dt: float, source: EnergySource
+    ) -> "_IdleWindow | None":
+        """``idle_step``'s constants for ``dt`` from now, or ``None``."""
+        if not dt > 0.0:
+            return None
+        held = self._held_conditions(source)
+        if held is None:
+            return None
+        voc, rs, bound = held
+        capacitor = self.capacitor
+        capacitance = capacitor.capacitance
+        # input_current is voltage-independent above cut-off; probe it
+        # with a nominal live rail (idle_step only uses the constants
+        # while the capacitor is charged).
+        net_load = self.regulator.input_current(1.0, 0.0) - self._injected_current
+        window = _IdleWindow()
+        window.dt = dt
+        window.epoch = self._env_epoch
+        window.bound = bound
+        window.has_enabled = hasattr(source, "enabled")
+        window.enabled = source.enabled if window.has_enabled else None
+        window.has_distance = hasattr(source, "distance_m")
+        window.distance = source.distance_m if window.has_distance else None
+        window.voc = voc
+        # Same expressions as charge_step() and step_leakage().
+        window.v_inf = voc - net_load * rs
+        window.exp_charge = math.exp(-dt / (rs * capacitance))
+        window.lin_delta = net_load * dt / capacitance
+        leak_r = capacitor.leakage_resistance
+        window.leak_factor = (
+            math.exp(-dt / (leak_r * capacitance)) if leak_r is not None else None
+        )
+        return window
 
     def charge_until_on(
         self,
@@ -282,7 +374,7 @@ class PowerSystem:
         is *bit-exact* with respect to the stepped integration — that is
         the campaign engine's byte-identical-report contract.  ``batch``
         exists as a verification escape hatch: ``batch=False`` forces
-        the historical one-``idle_step``-per-iteration path.
+        the historical one-``step``-per-iteration path.
         """
         start = self.sim.now
         while not self.is_on:
@@ -297,8 +389,11 @@ class PowerSystem:
             if not batch or not self._charge_fast_forward(
                 step_dt, start, timeout
             ):
+                # Plain step, not idle_step: this path runs exactly where
+                # the fast-forward found no window, so memoising would
+                # only pay a probe that cannot be reused.
                 self.sim.advance(step_dt)
-                self.idle_step(step_dt)
+                self.step(step_dt, 0.0)
         return self.sim.now - start
 
     def _charge_fast_forward(
@@ -306,7 +401,7 @@ class PowerSystem:
     ) -> bool:
         """Fast-forward whole charging steps; True if any were taken.
 
-        Replays the exact arithmetic of ``idle_step`` (regulator draw,
+        Replays the exact arithmetic of ``step(dt, 0.0)`` (regulator draw,
         :func:`charge_step`, clamping, leakage) on the exact time grid
         (``now`` advanced by repeated ``+ step_dt``), but only inside a
         window where nothing can observe or perturb the trajectory:
@@ -429,7 +524,21 @@ class PowerSystem:
         """
         if self._state is not PowerState.ON:
             return None
-        source = self._active_source()
+        held = self._held_conditions(self._active_source())
+        if held is None:
+            return None
+        floor = -math.inf if self.is_tethered else self.brownout_voltage
+        return (*held, floor)
+
+    def _held_conditions(
+        self, source: EnergySource
+    ) -> tuple[float, float, float] | None:
+        """``(voc, rs, bound)``: ``source``'s conditions held until ``bound``.
+
+        ``None`` for an unknown source model or conditions about to
+        change.  See :meth:`steady_window` for the probe order and the
+        bound's shrink.
+        """
         _, hold_until, thevenin = self._source_probes(source)
         if hold_until is None:
             return None  # unknown source model: never batch over it
@@ -444,8 +553,7 @@ class PowerSystem:
         else:
             voc = source.open_circuit_voltage(t0)
             rs = source.source_resistance(t0)
-        floor = -math.inf if self.is_tethered else self.brownout_voltage
-        return voc, rs, bound, floor
+        return voc, rs, bound
 
     def _refresh_state(self, initial: bool = False) -> None:
         v = self.capacitor.voltage
@@ -469,6 +577,25 @@ class PowerSystem:
                     self.sim.trace.record(f"{self.trace_channel}.turn_on", v)
                 for hook in self.on_power_change:
                     hook(self._state)
+
+
+class _IdleWindow:
+    """Memoised constants of :meth:`PowerSystem.idle_step`, with their key."""
+
+    __slots__ = (
+        "dt",
+        "epoch",
+        "bound",
+        "has_enabled",
+        "enabled",
+        "has_distance",
+        "distance",
+        "voc",
+        "v_inf",
+        "exp_charge",
+        "lin_delta",
+        "leak_factor",
+    )
 
 
 class ChargingTimeout(RuntimeError):

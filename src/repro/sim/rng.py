@@ -59,8 +59,18 @@ class RngHub:
         self._touched = False
 
     def gauss(self, name: str, mu: float, sigma: float) -> float:
-        """One Gaussian draw from the named stream."""
-        return self.stream(name).gauss(mu, sigma)
+        """One Gaussian draw from the named stream.
+
+        The ADC noise draw of every energy sample and control tick comes
+        through here, so a live stream costs one dict lookup.  The
+        stream is looked up on every call, never held: ``reseed`` and
+        snapshot restores replace ``_streams`` wholesale.
+        """
+        try:
+            stream = self._streams[name]
+        except KeyError:
+            stream = self.stream(name)
+        return stream.gauss(mu, sigma)
 
     def uniform(self, name: str, lo: float, hi: float) -> float:
         """One uniform draw from the named stream."""

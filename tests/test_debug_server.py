@@ -33,7 +33,7 @@ from repro.core.console import DebugConsole
 from repro.debug import errors
 from repro.debug.client import DebugClient, DebugRpcError
 from repro.debug.server import DebugTCPServer, handle_line
-from repro.debug.service import DebugService
+from repro.debug.service import DebugService, _jsonable
 from repro.mcu.memory import FRAM_BASE
 
 
@@ -341,6 +341,114 @@ class TestWireProtocol:
             "debug.divergence_context",
         ):
             assert required in methods
+
+
+class TestEnergyVolts:
+    """Energy targets are validated before anything touches the target."""
+
+    def _code(self, service, method, **params):
+        response = wire(
+            service,
+            {"jsonrpc": "2.0", "id": 1, "method": method, "params": params},
+        )
+        return response.get("error", {}).get("code")
+
+    def test_charge_needs_a_positive_target(self, service):
+        sid = rpc(service, "session.create", app="fibonacci", seed=2)["session"]
+        for volts in (0, 0.0, -0.1, 5.51):
+            assert self._code(
+                service, "energy.charge", session=sid, volts=volts
+            ) == errors.INVALID_PARAMS
+        assert self._code(service, "energy.charge", session=sid, volts=2.2) is None
+
+    def test_discharge_accepts_zero(self, service):
+        sid = rpc(service, "session.create", app="fibonacci", seed=2)["session"]
+        for volts in (-0.01, 5.51):
+            assert self._code(
+                service, "energy.discharge", session=sid, volts=volts
+            ) == errors.INVALID_PARAMS
+        # In range: validation passes (the loop may then time out against
+        # the harvester, which is a target error, not bad params).
+        for volts in (0, 5.5):
+            assert self._code(
+                service, "energy.discharge", session=sid, volts=volts
+            ) != errors.INVALID_PARAMS
+
+    def test_break_action_volts_are_checked_at_registration(self, service):
+        sid = rpc(service, "session.create", app="linked_list", seed=4242,
+                  iterations=400)["session"]
+        assert self._code(
+            service, "break.on_hit", session=sid,
+            actions=[{"op": "discharge", "volts": 0.0}],
+        ) is None
+        kept = [{"op": "vcap"}, {"op": "charge", "volts": 2.35}]
+        rpc(service, "break.on_hit", session=sid, actions=kept)
+        for action in (
+            {"op": "discharge", "volts": -1.0},
+            {"op": "charge", "volts": 0.0},
+            {"op": "charge", "volts": 6.0},
+            {"op": "discharge", "volts": 5.6},
+        ):
+            assert self._code(
+                service, "break.on_hit", session=sid,
+                actions=[{"op": "vcap"}, action],
+            ) == errors.INVALID_PARAMS
+        # A rejected list leaves the registered one in place, and the
+        # run that used to abort on a negative target now completes.
+        rpc(service, "break.add_energy", session=sid, threshold_v=2.2)
+        rpc(service, "run", session=sid, duration=0.25, max_cycles=100_000)
+        stops = rpc(service, "break.log", session=sid)["stops"]
+        assert stops
+        assert all(
+            [r["op"] for r in stop["results"]] == ["vcap", "charge"]
+            for stop in stops
+        )
+
+
+def _jsonable_reference(value):
+    """``_jsonable`` before its exact-type fast path."""
+    if isinstance(value, (bytes, bytearray)):
+        return {"hex": bytes(value).hex()}
+    if isinstance(value, dict):
+        return {str(k): _jsonable_reference(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable_reference(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return repr(value)
+
+
+def test_jsonable_folds_exactly_as_before():
+    import collections
+    import enum
+
+    class Level(enum.IntEnum):
+        LOW = 1
+
+    class Volts(float):
+        pass
+
+    class Name(str):
+        pass
+
+    class Table(dict):
+        pass
+
+    Pair = collections.namedtuple("Pair", "a b")
+    values = [
+        1.5, float("nan"), -0.0, 7, True, False, None, "s", b"\x00\xff",
+        bytearray(b"ab"), (1, 2.0, b"x"), [1, [2, (3,)]],
+        {"vcap": 2.4, "vreg": 2.0}, {1: {2: b"\x01"}, (3, 4): [None]},
+        Level.LOW, Volts(2.5), Name("n"), Table(a=Volts(1.0)),
+        collections.OrderedDict(b=1), Pair(1, b"z"), object, 3 + 4j,
+        {"nested": [{"deep": (Level.LOW, Name("x"), bytearray(b"q"))}]},
+    ]
+    for value in values:
+        new = _jsonable(value)
+        old = _jsonable_reference(value)
+        assert json.dumps(new) == json.dumps(old)
+        assert repr(new) == repr(old)
+        assert type(new) is type(old)
 
 
 class TestConsoleEquivalence:
