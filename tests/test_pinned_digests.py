@@ -15,8 +15,11 @@ digest over every wire response line: one with an energy breakpoint
 (the board's pending-breakpoint service path), one shaped like the
 benchmark's debug session (live energy trace, breakpoint actions,
 forty tethered memory reads, a paged ``trace.poll``), one with RF
-fading (hold windows that end inside save/restore control loops), and
-one of explicit ``energy.charge``/``energy.discharge`` calls.
+fading (hold windows that end inside save/restore control loops), one
+of explicit ``energy.charge``/``energy.discharge`` calls, one of
+``emulate`` before and after the executor flashes the program, and one
+each for the ``fast`` and ``bench`` power presets.  A scripted Table 1
+console session is pinned by a digest over its printed history.
 
 A digest change means report bytes moved.  That is a behaviour change,
 never a refactor: find the cause instead of re-pinning.  The module is
@@ -32,11 +35,15 @@ import json
 
 import pytest
 
+from repro import EDB, IntermittentExecutor, Simulator, TargetDevice
+from repro import make_wisp_power_system
 from repro.analog.charge_circuit import ChargeDischargeCircuit
+from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
 from repro.campaign.forking import ForkSession
 from repro.campaign.report import render_json
 from repro.campaign.scheduler import run_campaign
+from repro.core.console import DebugConsole
 from repro.debug.server import handle_line
 from repro.debug.service import DebugService
 from repro.mcu.memory import FRAM_BASE
@@ -298,6 +305,37 @@ ENERGY_SCRIPT = [
     ("session.status", {}),
 ]
 
+#: ``emulate`` on both sides of the executor's flash handoff: first on
+#: an unflashed program (the emulator flashes it), then a ``run`` on
+#: the same program statics, then ``emulate`` on the flashed program.
+EMULATE_SCRIPT = [
+    ("session.create", {"app": "fibonacci", "seed": 2718,
+                        "iterations": 2000}),
+    ("emulate", {"cycles": 3}),
+    ("run", {"duration": 0.1}),
+    ("emulate", {"cycles": 2, "turn_on_voltage": 2.5}),
+    ("mem.read", {"address": FRAM_BASE, "count": 8}),
+    ("session.status", {}),
+]
+
+#: The two non-default power presets, each with a run and a tethered
+#: read: ``fast`` with distance and fading left unset, and ``bench``.
+FAST_SCRIPT = [
+    ("session.create", {"app": "fibonacci", "power": "fast", "seed": 606,
+                        "iterations": 2000}),
+    ("run", {"duration": 0.1}),
+    ("mem.read", {"address": FRAM_BASE, "count": 8}),
+    ("session.status", {}),
+]
+
+BENCH_SCRIPT = [
+    ("session.create", {"app": "fibonacci", "power": "bench", "seed": 607,
+                        "iterations": 2000}),
+    ("run", {"duration": 0.1}),
+    ("mem.read", {"address": FRAM_BASE, "count": 8}),
+    ("session.status", {}),
+]
+
 TRANSCRIPTS = {
     "perfbench_shape": (
         PERFBENCH_SCRIPT,
@@ -310,6 +348,18 @@ TRANSCRIPTS = {
     "energy_manipulation": (
         ENERGY_SCRIPT,
         "46c215159c39743360e5897222cbb316b2534b028c4f5cf0b8907e11a4e9dcd5",
+    ),
+    "emulate": (
+        EMULATE_SCRIPT,
+        "f9a3c1a2b5923d3a5f526374cd274272c25c38ac2b555811294245d77df297e8",
+    ),
+    "power_fast": (
+        FAST_SCRIPT,
+        "654b17c4d7f00bfe9e371ebfaa2e4d7d12ac873b147e0c61b7e39d9a265da43f",
+    ),
+    "power_bench": (
+        BENCH_SCRIPT,
+        "8e3681c5bbb2b752cda40d0de7bde9cbbffccaa22e93a2a53b3d02455cf4e7ec",
     ),
 }
 
@@ -343,3 +393,54 @@ def test_fading_transcript_redraws_inside_restores(monkeypatch):
     monkeypatch.setattr(RFHarvester, "_fade_db_at", fading)
     _transcript(FADING_SCRIPT)
     assert redraws
+
+
+#: A Table 1 console session on a fixed-seed WISP running fibonacci:
+#: live energy trace, an energy breakpoint the run stops at, tethered
+#: memory access, energy manipulation, a watchpoint mask and an
+#: emulation after the run.
+CONSOLE_SCRIPT = [
+    "trace energy",
+    "break energy 2.0",
+    "run 0.25",
+    f"read 0x{FRAM_BASE:04X} 8",
+    f"write 0x{FRAM_BASE + 0x100:04X} 0xBEEF",
+    f"read 0x{FRAM_BASE + 0x100:04X} 2",
+    "charge 2.4",
+    "watch dis 1",
+    "watch en 1",
+    "emulate 3",
+    "status",
+]
+
+CONSOLE_DIGEST = (
+    "5ecebe3b57fe583897ec0901058fb68f8789adc644479ecf6232f0f602a871d6"
+)
+
+
+def _console_history() -> str:
+    """Every line the console printed over ``CONSOLE_SCRIPT``."""
+    sim = Simulator(seed=4243)
+    device = TargetDevice(sim, make_wisp_power_system(sim))
+    edb = EDB(sim, device)
+    program = get_adapter("fibonacci").build(False, 2000)
+    executor = IntermittentExecutor(sim, device, program, edb=edb.libedb())
+    console = DebugConsole(edb, executor=executor)
+    try:
+        for line in CONSOLE_SCRIPT:
+            console.execute(line)
+    finally:
+        edb.detach()
+    return "\n".join(console.history)
+
+
+def test_console_history_digest_is_pinned():
+    assert _digest(_console_history()) == CONSOLE_DIGEST
+
+
+def test_console_script_stops_and_emulates():
+    """The console case must really stop at the breakpoint and emulate."""
+    history = _console_history()
+    assert "*** target stopped: energy_breakpoint" in history
+    assert "emulated 2 cycle(s): final=completed" in history
+    assert "error" not in history
