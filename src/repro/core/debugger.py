@@ -23,10 +23,16 @@ from repro.core.board import BreakEvent, EDBBoard
 from repro.core.breakpoints import Breakpoint, BreakpointManager
 from repro.core.libedb import LibEDB
 from repro.core.monitor import PassiveMonitor
+from repro.core.protocol import MAX_PAYLOAD
 from repro.core.session import InteractiveSession
 from repro.mcu.device import TargetDevice
 from repro.sim import units
 from repro.sim.kernel import Simulator
+
+#: The cycle budget of every console and RPC ``run``/``emulate``:
+#: generous (a 2 s WISP run is ~8M cycles) but finite, so a livelocked
+#: guest cannot hang either front end.
+DEFAULT_MAX_CYCLES = 200_000_000
 
 
 class EDB:
@@ -58,6 +64,48 @@ class EDB:
         self._libedb: LibEDB | None = None
         self._watched_pcs: set[int] = set()
 
+    # -- what the host may ask of the target ---------------------------------
+    #
+    # One input rule for the Table 1 console and the JSON-RPC service: a
+    # violation raises ValueError, which the console prints as an
+    # ``error:`` line and the service answers with InvalidParams.
+    @staticmethod
+    def check_charge_volts(volts: float) -> float:
+        """A ``charge`` target: ``0 < volts <= 5.5``."""
+        if not 0.0 < volts <= 5.5:
+            raise ValueError(f"charge volts {volts} out of range (0, 5.5]")
+        return volts
+
+    @staticmethod
+    def check_volts(volts: float) -> float:
+        """A ``discharge`` target or an energy threshold: ``0 <= volts <= 5.5``."""
+        if not 0.0 <= volts <= 5.5:
+            raise ValueError(f"volts {volts} out of range [0, 5.5]")
+        return volts
+
+    @staticmethod
+    def check_word(value: int) -> int:
+        """A target address or 16-bit value: ``0..0xFFFF``."""
+        if not 0 <= value <= 0xFFFF:
+            raise ValueError(f"{value} out of range 0..0xFFFF")
+        return value
+
+    @staticmethod
+    def check_read_count(count: int) -> int:
+        """A memory read length: ``1..MAX_PAYLOAD`` bytes."""
+        if not 1 <= count <= MAX_PAYLOAD:
+            raise ValueError(f"read count {count} out of range 1..{MAX_PAYLOAD}")
+        return count
+
+    @staticmethod
+    def check_write_data(data: bytes) -> bytes:
+        """A memory write payload: ``1..MAX_PAYLOAD-2`` bytes."""
+        if not 1 <= len(data) <= MAX_PAYLOAD - 2:
+            raise ValueError(
+                f"write size {len(data)} out of range 1..{MAX_PAYLOAD - 2}"
+            )
+        return data
+
     # -- linking the target-side library ----------------------------------
     def libedb(self) -> LibEDB:
         """The target-side library to link into the application."""
@@ -75,6 +123,14 @@ class EDB:
     def trace(self, stream: str) -> None:
         """Console ``trace`` command: enable one passive stream."""
         self.monitor.enable(stream)
+
+    def set_watchpoint_enabled(self, wp_id: int, enabled: bool) -> None:
+        """Console ``watch en|dis``: unmask or mask one watchpoint id."""
+        disabled = self.monitor.disabled_watchpoints
+        if enabled:
+            disabled.discard(wp_id)
+        else:
+            disabled.add(wp_id)
 
     def untrace(self, stream: str) -> None:
         """Disable one passive stream."""
@@ -170,6 +226,26 @@ class EDB:
     def is_tethered(self) -> bool:
         """True while the target runs on EDB's continuous supply."""
         return self.device.power.is_tethered
+
+    def host_access(self, action: Callable[[InteractiveSession], Any]) -> Any:
+        """Run one host access energy-interference-free (§3.3.4).
+
+        Save Vcap and tether (unless an open break/assert session
+        already holds the target), act through the target-side
+        protocol, restore with the trim-up path.  Every console and RPC
+        memory or register access goes through here.
+        """
+        energy = self.board.energy
+        assert energy is not None
+        event = BreakEvent("console", self.sim.now, self.device.power.vcap)
+        held = energy.in_active_task or self.is_tethered
+        if not held:
+            energy.begin_task()
+        try:
+            return action(InteractiveSession(self.board, event))
+        finally:
+            if not held:
+                energy.end_task(trim_up=True)
 
     # -- divergence capture -----------------------------------------------------------
     def divergence_context(self, tail: int = 64) -> dict:

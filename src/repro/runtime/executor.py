@@ -91,7 +91,8 @@ class IntermittentExecutor:
         self.device = device
         self.program = program
         self.api = DeviceAPI(device, edb=edb)
-        self._flashed = False
+        #: True once the program's FRAM image is initialised.
+        self.flashed = False
 
     def flash(self) -> None:
         """Initialise the program's FRAM image (like flashing over JTAG).
@@ -113,7 +114,11 @@ class IntermittentExecutor:
                 power.untether()
                 power.capacitor.voltage = v_before
                 power.reset_comparator()
-        self._flashed = True
+        self.flashed = True
+
+    def mark_flashed(self) -> None:
+        """Count the image initialised by someone else (EDB's §4.2 emulator)."""
+        self.flashed = True
 
     # -- the intermittent loop -------------------------------------------------
     def run(
@@ -145,7 +150,7 @@ class IntermittentExecutor:
         """
         if (duration is None) == (until is None):
             raise ValueError("pass exactly one of duration= or until=")
-        if not self._flashed:
+        if not self.flashed:
             self.flash()
         # Hot-path handles: a campaign boots the device hundreds of
         # times per run, so the per-boot attribute chains are hoisted
@@ -258,7 +263,7 @@ class IntermittentExecutor:
         intermittence bug *never* manifests, which is exactly why
         conventional debuggers cannot reproduce it.
         """
-        if not self._flashed:
+        if not self.flashed:
             self.flash()
         deadline = self.sim.now + duration
         self.device.stop_after = deadline

@@ -546,6 +546,99 @@ class TestConsoleEquivalence:
         assert session_r.device.cycles_executed == device_c.cycles_executed
         assert not session_r.device.power.is_tethered
 
+    def _bare_rig(self, seed: int, iterations: int = 16):
+        sim = Simulator(seed=seed)
+        power = make_wisp_power_system(sim)
+        device = TargetDevice(sim, power)
+        edb = EDB(sim, device)
+        program = get_adapter("fibonacci").build(False, iterations)
+        executor = IntermittentExecutor(sim, device, program, edb=edb.libedb())
+        return device, edb, DebugConsole(edb, executor=executor)
+
+    def _assert_same_target(self, device_c, edb_c, session_r):
+        assert session_r.device.cycles_executed == device_c.cycles_executed
+        assert session_r.sim.now == edb_c.sim.now
+        assert session_r.device.power.vcap == device_c.power.vcap
+
+    def test_emulate_matches_rpc(self, service):
+        """Console ``emulate 3`` and RPC ``emulate`` run the same code."""
+        device_c, edb_c, console = self._bare_rig(self.SEED, 2000)
+        assert "emulated 3 cycle(s)" in console.execute("emulate 3")
+
+        sid = rpc(service, "session.create", app="fibonacci",
+                  seed=self.SEED, iterations=2000)["session"]
+        result = rpc(service, "emulate", session=sid, cycles=3)
+        assert len(result["cycles"]) == 3
+
+        self._assert_same_target(device_c, edb_c, service.sessions[sid])
+
+    def test_write_then_read_matches_rpc(self, service):
+        """Console ``write``/``read`` and RPC ``mem.write``/``mem.read``."""
+        address = FRAM_BASE + 0x100
+        device_c, edb_c, console = self._bare_rig(9)
+        device_c.power.charge_until_on()
+        console.execute(f"write 0x{address:04X} 0xBEEF")
+        assert "ef be" in console.execute(f"read 0x{address:04X} 2")
+
+        sid = rpc(service, "session.create", app="fibonacci", seed=9)["session"]
+        session_r = service.sessions[sid]
+        session_r.device.power.charge_until_on()
+        rpc(service, "mem.write", session=sid, address=address, value=0xBEEF)
+        read = rpc(service, "mem.read", session=sid, address=address, count=2)
+        assert read["hex"] == "efbe"
+
+        self._assert_same_target(device_c, edb_c, session_r)
+
+
+class TestInputRule:
+    """Out-of-range host requests answer InvalidParams and touch nothing."""
+
+    @pytest.mark.parametrize(
+        "method,params",
+        [
+            ("mem.write", {"address": FRAM_BASE, "value": 0x12345}),
+            ("mem.write", {"address": FRAM_BASE, "value": -1}),
+            ("mem.write", {"address": 0x10000, "value": 1}),
+            ("mem.write", {"address": FRAM_BASE, "data": ""}),
+            ("mem.write", {"address": FRAM_BASE, "data": "00" * 254}),
+            ("mem.write", {"address": FRAM_BASE, "data": "zz"}),
+            ("mem.read", {"address": -5}),
+            ("mem.read", {"address": 0x10000}),
+            ("mem.read", {"address": FRAM_BASE, "count": 0}),
+            ("mem.read", {"address": FRAM_BASE, "count": 256}),
+            ("mem.read", {"address": FRAM_BASE, "count": 100000}),
+        ],
+        ids=[
+            "value-wide", "value-negative", "address-wide", "data-empty",
+            "data-long", "data-not-hex", "address-negative", "read-wide",
+            "count-zero", "count-256", "count-100000",
+        ],
+    )
+    def test_memory_arguments_out_of_range(self, service, method, params):
+        sid = rpc(service, "session.create", app="fibonacci", seed=3)["session"]
+        device = service.sessions[sid].device
+        response = wire(
+            service,
+            {"jsonrpc": "2.0", "id": 1, "method": method,
+             "params": {"session": sid, **params}},
+        )
+        assert response["error"]["code"] == errors.INVALID_PARAMS
+        assert device.cycles_executed == 0
+        assert not device.power.is_tethered
+
+    def test_break_thresholds_follow_the_console(self, service):
+        sid = rpc(service, "session.create", app="fibonacci", seed=3)["session"]
+        for threshold in (9.0, -0.5):
+            with pytest.raises(errors.InvalidParams):
+                rpc(service, "break.add_energy", session=sid,
+                    threshold_v=threshold)
+            with pytest.raises(errors.InvalidParams):
+                rpc(service, "break.add_combined", session=sid, id=1,
+                    threshold_v=threshold)
+        assert rpc(service, "break.list", session=sid)["breakpoints"] == []
+        rpc(service, "break.add_energy", session=sid, threshold_v=0.0)
+        rpc(service, "break.add_combined", session=sid, id=1, threshold_v=5.5)
+
 
 class TestTCPTransport:
     @pytest.fixture
