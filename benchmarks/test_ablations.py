@@ -26,13 +26,15 @@ from conftest import report
 
 from repro import (
     EDB,
+    IntermittentExecutor,
     PowerFailure,
+    RunStatus,
     Simulator,
     TargetDevice,
     make_wisp_power_system,
 )
+from repro.apps.isa_app import IsaApp
 from repro.mcu.assembler import assemble
-from repro.mcu.cpu import Halted
 from repro.mcu.memory import FRAM_BASE
 from repro.runtime.checkpoint import CheckpointManager
 from repro.sim import units
@@ -65,38 +67,17 @@ def run_isa_intermittent(use_checkpoints: bool, budget_s: float = 4.0):
     power = make_wisp_power_system(sim, distance_m=1.6)
     device = TargetDevice(sim, power)
     program = assemble(LONG_PROGRAM)
-    device.load_program(program)
     manager = CheckpointManager(device, CHECKPOINT_BASE)
-    manager.erase()
-    pending = {"count": 0}
-
-    def on_checkpoint_port(value: int) -> None:
-        # Checkpoint every 64 iterations to bound overhead.
-        pending["count"] += 1
-        if use_checkpoints and pending["count"] % 64 == 0:
-            manager.checkpoint()
-
-    device.cpu.ports_out[0x10] = on_checkpoint_port
-
-    boots = 0
-    deadline = budget_s
-    completed = False
-    while sim.now < deadline:
-        power.charge_until_on()
-        device.reboot()
-        boots += 1
-        if use_checkpoints and manager.restore() is not None:
-            pass  # resumed mid-loop from the snapshot
-        try:
-            while True:
-                device.cpu.step_block()
-        except Halted:
-            completed = True
-            break
-        except PowerFailure:
-            continue
+    # Checkpoint every 64 iterations (the app's default) to bound overhead.
+    app = IsaApp(device, program, manager if use_checkpoints else None)
+    result = IntermittentExecutor(sim, device, app).run(duration=budget_s)
     progress = device.memory.read_u16(program.symbols["count"])
-    return completed, progress, boots, manager.checkpoints_taken
+    return (
+        result.status is RunStatus.COMPLETED,
+        progress,
+        result.boots,
+        manager.checkpoints_taken,
+    )
 
 
 def run_restore_trial(trim_up: bool, trials: int = 25):

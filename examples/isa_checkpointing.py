@@ -11,9 +11,15 @@ the ``mark`` instruction.
 Run:  python examples/isa_checkpointing.py
 """
 
-from repro import PowerFailure, Simulator, TargetDevice, make_wisp_power_system
+from repro import (
+    IntermittentExecutor,
+    RunStatus,
+    Simulator,
+    TargetDevice,
+    make_wisp_power_system,
+)
+from repro.apps.isa_app import IsaApp
 from repro.mcu.assembler import assemble, disassemble
-from repro.mcu.cpu import Halted
 from repro.mcu.memory import FRAM_BASE
 from repro.runtime.checkpoint import CheckpointManager
 
@@ -39,36 +45,14 @@ def run(use_checkpoints: bool, budget_s: float = 3.0):
     power = make_wisp_power_system(sim, distance_m=1.6)
     target = TargetDevice(sim, power)
     program = assemble(PROGRAM)
-    target.load_program(program)
     manager = CheckpointManager(target, FRAM_BASE + 0x8000)
-    manager.erase()
-
-    iteration = {"n": 0}
-
-    def checkpoint_port(value: int) -> None:
-        iteration["n"] += 1
-        if use_checkpoints and iteration["n"] % 64 == 0:
-            manager.checkpoint()
-
-    target.cpu.ports_out[0x10] = checkpoint_port
-
-    boots = 0
-    completed = False
-    while sim.now < budget_s and not completed:
-        power.charge_until_on()
-        target.reboot()
-        boots += 1
-        if use_checkpoints:
-            manager.restore()
-        try:
-            while True:
-                target.cpu.step()
-        except Halted:
-            completed = True
-        except PowerFailure:
-            continue
-    result = target.memory.read_u16(program.symbols["result"])
-    return completed, result, boots, manager
+    # The app restores on every boot and honours every 64th request
+    # on the checkpoint port (0x10).
+    app = IsaApp(target, program, manager if use_checkpoints else None)
+    result = IntermittentExecutor(sim, target, app).run(duration=budget_s)
+    completed = result.status is RunStatus.COMPLETED
+    value = target.memory.read_u16(program.symbols["result"])
+    return completed, value, result.boots, manager
 
 
 def main() -> None:

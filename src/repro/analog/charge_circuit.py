@@ -63,8 +63,10 @@ class ChargeDischargeCircuit:
         adc: Adc,
         charge_current: float = 5 * units.MA,
         discharge_resistance: float = 220 * units.OHM,
-        # The fine load must out-pull the strongest harvesting condition
-        # (~1.1 mA close to the reader) or the approach loop stalls.
+        # The fine load draws V / 1.5 kOhm, which out-pulls the ~1.1 mA a
+        # WISP harvests at 1 m from the reader only above about 1.65 V.
+        # Below that, near the reader, the approach loop stalls a few mV
+        # above the target and discharge_to runs into its timeout.
         fine_discharge_resistance: float = 1.5 * units.KOHM,
         coarse_band: float = 10 * units.MV,
         control_period: float = 100 * units.US,

@@ -22,18 +22,17 @@ protected build derives both counters idempotently from a commit word
 written *after* both stores, so re-execution can never drift ``a``
 more than one ahead of ``b``.
 
-Execution goes through :meth:`Cpu.step_block`, so translated-block
-coverage (and its single-step fallback) drives the fuzzer's signatures.
+Each boot is :func:`~repro.apps.isa_app.run_to_halt`, which goes through
+:meth:`Cpu.step_block`, so translated-block coverage (and its
+single-step fallback) drives the fuzzer's signatures.
 """
 
 from __future__ import annotations
 
+from repro.apps.isa_app import run_to_halt
 from repro.mcu.assembler import Program, assemble
 from repro.mcu.coverage import CoverageRecorder
-from repro.mcu.cpu import CpuError, Halted
 from repro.mcu.hlapi import DeviceAPI, ProgramComplete
-from repro.mcu.isa import DecodeError
-from repro.mcu.memory import MemoryFault
 
 #: Port the firmware reads stimulus (demodulated frame) bytes from.
 STIM_PORT = 0x20
@@ -195,15 +194,5 @@ class RfidIsaFirmware:
 
     def main(self, api: DeviceAPI) -> None:
         """One powered boot: block-dispatch until HALT or brown-out."""
-        step_block = api.device.cpu.step_block
-        try:
-            while True:
-                step_block()
-        except Halted:
-            raise ProgramComplete(
-                api.device.memory.read_u16(self.symbols["prog"])
-            ) from None
-        except (CpuError, DecodeError) as fault:
-            # Fold ISA-level faults into the memory-fault taxonomy the
-            # intermittent run loop (and the oracle) already model.
-            raise MemoryFault(f"isa fault: {fault}") from fault
+        run_to_halt(api.device.cpu)
+        raise ProgramComplete(api.device.memory.read_u16(self.symbols["prog"]))

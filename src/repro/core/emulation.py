@@ -120,13 +120,7 @@ class IntermittenceEmulator:
         stop_on_fault:
             Stop the emulation at the first memory fault.
         """
-        if not self.flashed:
-            self.flash()
         power = self.device.power
-        source_enabled = getattr(power.source, "enabled", None)
-        if source_enabled is not None:
-            power.source.enabled = False  # EDB supplies all energy
-
         levels = (
             list(turn_on_voltage)
             if not isinstance(turn_on_voltage, (int, float))
@@ -137,17 +131,25 @@ class IntermittenceEmulator:
                 f"{cycles} cycles requested but only {len(levels)} "
                 "turn-on levels given"
             )
+        # Validate every level before flashing or charging, so a
+        # rejected request leaves the target untouched.
+        for index, level in enumerate(levels[:cycles]):
+            if level < power.turn_on_voltage:
+                raise ValueError(
+                    f"cycle {index}: turn-on level {level} V is below "
+                    f"the comparator threshold "
+                    f"({power.turn_on_voltage} V)"
+                )
+
+        if not self.flashed:
+            self.flash()
+        source_enabled = getattr(power.source, "enabled", None)
+        if source_enabled is not None:
+            power.source.enabled = False  # EDB supplies all energy
 
         result = EmulationResult()
         try:
-            for index in range(cycles):
-                level = levels[index]
-                if level < power.turn_on_voltage:
-                    raise ValueError(
-                        f"cycle {index}: turn-on level {level} V is below "
-                        f"the comparator threshold "
-                        f"({power.turn_on_voltage} V)"
-                    )
+            for index, level in enumerate(levels[:cycles]):
                 self.edb.charge(level)
                 power.reset_comparator()
                 self.device.reboot()

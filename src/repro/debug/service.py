@@ -27,6 +27,7 @@ the console's ``read``/``write`` commands cost.
 from __future__ import annotations
 
 import collections
+import math
 import threading
 import time
 from typing import Any, Callable
@@ -180,6 +181,12 @@ class DebugSession:
             raise InvalidParams(
                 f"unknown power system {power!r}; have {list(POWER_SYSTEMS)}"
             )
+        if sample_rate is None:
+            sample_rate = 4 * units.KHZ
+        elif not (math.isfinite(sample_rate) and sample_rate > 0):
+            raise ValueError(
+                f"sample_rate must be positive and finite (got {sample_rate})"
+            )
         self.id = session_id
         self.app = app
         self.power_name = power
@@ -201,7 +208,7 @@ class DebugSession:
         self.edb = EDB(
             self.sim,
             self.device,
-            sample_rate=sample_rate if sample_rate else 4 * units.KHZ,
+            sample_rate=sample_rate,
         )
         self.adapter = get_adapter(app)
         self.program = self.adapter.build(protect, iterations)

@@ -24,7 +24,7 @@ from repro.io.lines import DigitalLine
 from repro.io.uart import Uart
 from repro.mcu.adc import Adc, AdcChannelMux
 from repro.mcu.assembler import Program
-from repro.mcu.cpu import Cpu, Halted
+from repro.mcu.cpu import Cpu
 from repro.mcu.gpio import GpioPort
 from repro.mcu.memory import MemoryMap, make_msp430_memory_map
 from repro.power.supply import PowerSystem
@@ -667,25 +667,6 @@ class TargetDevice:
     def program(self) -> Program | None:
         """The currently loaded ISA program image, if any."""
         return self._program
-
-    def run_isa(self, max_instructions: int = 1_000_000) -> str:
-        """Run the loaded ISA program until HALT, power failure, or limit.
-
-        Returns ``"halted"``, or raises :class:`PowerFailure` — callers
-        that want intermittent semantics use the executor in
-        :mod:`repro.runtime.executor`, which catches the failure,
-        charges, reboots, and retries.
-        """
-        if self._program is None:
-            raise RuntimeError("no program loaded")
-        budget = max_instructions
-        step_block = self.cpu.step_block
-        while budget > 0:
-            try:
-                budget -= step_block(budget)
-            except Halted:
-                return "halted"
-        raise RuntimeError(f"exceeded {max_instructions} instructions")
 
     # -- self-measurement ------------------------------------------------------------
     def measure_own_vcap(self) -> float:

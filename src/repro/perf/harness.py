@@ -91,8 +91,8 @@ def _blocks_detail(cpu) -> dict:
 def bench_isa_throughput(instructions: int = 60_000) -> BenchResult:
     """Instruction retirement rate on a bench supply (no brown-outs).
 
-    Dispatches through :meth:`Cpu.step_block` — the production path used
-    by ``run_isa`` and the intermittent ISA executor — so the number
+    Dispatches through :meth:`Cpu.step_block` — the production path every
+    ISA app boots through (:func:`repro.apps.isa_app.run_to_halt`) — so the number
     reflects block-translation steady state (the ``blocks`` detail trio
     records the translation/deopt mix; ``REPRO_NO_BLOCKCACHE=1`` turns
     the same benchmark into a pure single-step measurement).

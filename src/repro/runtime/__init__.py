@@ -7,8 +7,10 @@
 - :mod:`repro.runtime.checkpoint` — Mementos-style volatile-context
   checkpointing for the ISA core (register file + stack into FRAM with
   double buffering).
-- :mod:`repro.runtime.executor` — the intermittent execution loop:
-  charge to turn-on, reboot, run until brown-out, repeat.
+- :mod:`repro.runtime.executor` — the one intermittent execution loop:
+  charge to turn-on, reboot, run until brown-out, repeat.  High-level
+  apps and assembled ISA programs (:class:`repro.apps.isa_app.IsaApp`)
+  both run under its :class:`IntermittentExecutor`.
 - :mod:`repro.runtime.tasks` — a DINO-style task-based execution model
   with task-atomic, versioned non-volatile data (the class of emerging
   models §6.2 positions EDB alongside).

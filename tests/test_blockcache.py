@@ -26,7 +26,14 @@ import random
 
 import pytest
 
-from repro import RunStatus, Simulator, TargetDevice, make_wisp_power_system
+from repro import (
+    IntermittentExecutor,
+    RunStatus,
+    Simulator,
+    TargetDevice,
+    make_wisp_power_system,
+)
+from repro.apps.isa_app import IsaApp
 from repro.campaign import forking
 from repro.campaign.config import CampaignConfig
 from repro.campaign.faults import ScheduledBrownouts
@@ -34,7 +41,6 @@ from repro.campaign.report import render_json
 from repro.campaign.scheduler import run_campaign
 from repro.mcu.assembler import assemble
 from repro.power.capacitor import StorageCapacitor, closed_form_step
-from repro.runtime.isa_executor import IsaIntermittentExecutor
 from repro.testing import make_bench_target
 
 pytestmark = pytest.mark.blockcache
@@ -91,8 +97,8 @@ def _execute(source, *, mode="block", seed=1234, duration=1.5,
         raise ValueError(f"unknown mode {mode!r}")
     if schedule:
         ScheduledBrownouts(device, list(schedule))
-    executor = IsaIntermittentExecutor(sim, device, assemble(source))
-    result = executor.run(duration=duration)
+    executor = IntermittentExecutor(sim, device, IsaApp(device, assemble(source)))
+    result = executor.run(duration=duration, stop_on_fault=True)
     return result, device, sim
 
 
@@ -432,8 +438,10 @@ def test_forced_deopt_differential():
         power = make_wisp_power_system(sim, distance_m=2.0, fading_sigma=1.0)
         device = TargetDevice(sim, power)
         device.force_deopt = force
-        executor = IsaIntermittentExecutor(sim, device, assemble(source))
-        result = executor.run(duration=0.8)
+        executor = IntermittentExecutor(
+            sim, device, IsaApp(device, assemble(source))
+        )
+        result = executor.run(duration=0.8, stop_on_fault=True)
         return result, device, sim
 
     forced = run(True)

@@ -268,6 +268,16 @@ class TestInputRule:
         assert console.execute("emulate 0").startswith("error:")
         assert not executor.flashed
 
+    def test_emulate_below_threshold_touches_nothing(self, program_console):
+        executor, console = program_console
+        device = executor.device
+        before = (device.cycles_executed, executor.sim.now, device.power.vcap)
+        out = console.execute("emulate 3 1.0")
+        assert out.startswith("error:") and "comparator threshold" in out
+        after = (device.cycles_executed, executor.sim.now, device.power.vcap)
+        assert after == before
+        assert not executor.flashed
+
     def test_emulate_over_budget_is_an_error_line(self, program_console, monkeypatch):
         executor, console = program_console
         monkeypatch.setattr("repro.core.console.DEFAULT_MAX_CYCLES", 50_000)

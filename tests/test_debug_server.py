@@ -78,6 +78,15 @@ class TestSessionManagement:
         with pytest.raises(errors.InvalidParams):
             rpc(service, "session.create", app="fibonacci", power="nuclear")
 
+    @pytest.mark.parametrize(
+        "rate", [-5.0, 0.0, float("inf"), float("nan")],
+        ids=["negative", "zero", "inf", "nan"],
+    )
+    def test_bad_sample_rate_rejected(self, service, rate):
+        with pytest.raises(errors.InvalidParams, match="sample_rate"):
+            rpc(service, "session.create", app="fibonacci", sample_rate=rate)
+        assert service.sessions == {}
+
     def test_session_limit(self):
         svc = DebugService(max_sessions=1)
         rpc(svc, "session.create", app="fibonacci", seed=1)
@@ -625,6 +634,21 @@ class TestInputRule:
         assert response["error"]["code"] == errors.INVALID_PARAMS
         assert device.cycles_executed == 0
         assert not device.power.is_tethered
+
+    def test_rejected_emulate_touches_nothing(self, service):
+        sid = rpc(service, "session.create", app="fibonacci", seed=3)["session"]
+        before = rpc(service, "session.status", session=sid)
+        response = wire(
+            service,
+            {"jsonrpc": "2.0", "id": 1, "method": "emulate",
+             "params": {"session": sid, "cycles": 3, "turn_on_voltage": 1.0}},
+        )
+        assert response["error"]["code"] == errors.INVALID_PARAMS
+        assert "comparator threshold" in response["error"]["message"]
+        after = rpc(service, "session.status", session=sid)
+        for key in ("cycles", "time", "vcap", "state"):
+            assert after[key] == before[key]
+        assert not service.sessions[sid].executor.flashed
 
     def test_break_thresholds_follow_the_console(self, service):
         sid = rpc(service, "session.create", app="fibonacci", seed=3)["session"]

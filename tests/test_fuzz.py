@@ -28,6 +28,7 @@ import random
 
 import pytest
 
+from repro.apps.isa_app import IsaApp
 from repro.campaign import forking
 from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
@@ -46,10 +47,14 @@ from repro.campaign.runner import tier_stats_delta, tier_stats_snapshot
 from repro.campaign.scheduler import run_campaign
 from repro.mcu.assembler import assemble
 from repro.mcu.coverage import CoverageRecorder
-from repro.runtime.isa_executor import IsaIntermittentExecutor
 from repro.sim.rng import derive_seed
 
-from repro import Simulator, TargetDevice, make_wisp_power_system
+from repro import (
+    IntermittentExecutor,
+    Simulator,
+    TargetDevice,
+    make_wisp_power_system,
+)
 from tests.test_blockcache import _random_branchy, _random_straightline
 
 #: The pinned differential config: small enough to run in seconds,
@@ -164,8 +169,8 @@ def _run_with_coverage(source: str, *, block_mode: bool, seed: int = 1234):
     device = TargetDevice(sim, power)
     device.cpu.block_cache_enabled = block_mode
     device.cpu.coverage = CoverageRecorder()
-    executor = IsaIntermittentExecutor(sim, device, assemble(source))
-    executor.run(duration=1.5)
+    executor = IntermittentExecutor(sim, device, IsaApp(device, assemble(source)))
+    executor.run(duration=1.5, stop_on_fault=True)
     return device.cpu.coverage
 
 

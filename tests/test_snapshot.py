@@ -313,9 +313,9 @@ def test_forked_campaign_report_identical_to_legacy():
 
 def _run_branchy_with_coverage(seed: int):
     """A powered ISA leg with a recorder attached; returns (sim, target)."""
+    from repro.apps.isa_app import IsaApp
     from repro.mcu.assembler import assemble
     from repro.mcu.coverage import CoverageRecorder
-    from repro.runtime.isa_executor import IsaIntermittentExecutor
 
     from tests.test_blockcache import _random_branchy
 
@@ -323,8 +323,8 @@ def _run_branchy_with_coverage(seed: int):
     target = make_fast_target(sim, distance_m=1.6, fading_sigma=0.0)
     target.cpu.coverage = CoverageRecorder()
     source = _random_branchy(random.Random(seed), iterations=8)
-    executor = IsaIntermittentExecutor(sim, target, assemble(source))
-    executor.run(duration=1.0)
+    executor = IntermittentExecutor(sim, target, IsaApp(target, assemble(source)))
+    executor.run(duration=1.0, stop_on_fault=True)
     return sim, target
 
 
