@@ -36,11 +36,19 @@ def run_to_halt(cpu: Cpu) -> None:
     brown-out or pending events, so the trajectory stays bit-identical
     to single-stepping.  ISA-level faults fold into the memory-fault
     taxonomy the executor (and the campaign oracle) already model.
+
+    With a :attr:`Cpu.between_blocks` probe set, the probe runs after
+    every dispatch; the plain loop is kept for the probe-free case.
     """
     step_block = cpu.step_block
+    probe = cpu.between_blocks
     try:
+        if probe is None:
+            while True:
+                step_block()
         while True:
             step_block()
+            probe()
     except Halted:
         return
     except (CpuError, DecodeError) as fault:

@@ -163,6 +163,12 @@ class RfidIsaFirmware:
 
     name = "rfid-isa-firmware"
 
+    #: ``main`` is :func:`run_to_halt` and the host state is scalar, so
+    #: calling ``main`` on a device restored between two ``step_block``
+    #: calls continues that boot exactly (see the executor's
+    #: ``run(mid_boot=True)``).
+    mid_boot_resumable = True
+
     def __init__(self, protect: bool, iterations: int, stimulus: bytes) -> None:
         if not stimulus:
             raise ValueError("stimulus must be at least one byte")

@@ -11,9 +11,16 @@ from.  Memoisation, not vectorisation.
 
 Every boundary the pass returned is checked against the live lanes'
 schedules (:class:`_LaneSchedules`).  Lanes whose schedule fired inside
-the boot just finished are **peeled**: the session replays them from
-that boot's node with their real schedule (``ForkSession.peel``),
-bit-identical to a from-reset run arriving at the same boundary.  Lanes
+the boot just finished are **peeled**: the session replays them with
+their real schedule (``ForkSession.peel``) from the latest node of that
+boot before the firing point, bit-identical to a from-reset run
+arriving there.  The pass keeps two kinds of node: a *boot node* where
+each boot began, and, for ISA firmware whose boot is ``run_to_halt``
+over scalar host state, a *mid-boot node* every
+``forking.MID_BOOT_SPACING`` (512) boot work units, so a peel replays
+at most that many units of the leader's boot instead of the whole
+pre-fault prefix.  A Python app keeps boot nodes only: a snapshot
+cannot hold its call stack.  Lanes
 whose schedules never fire are **clones**: their observation is the
 leader's.  The clone claim is exact: a ``ScheduledBrownouts`` lane fires
 on boot ``b`` iff its entry ``S[b] <= ops(b)``, a
@@ -192,12 +199,16 @@ def execute_batch_group(config, members: list[Run]) -> dict[int, dict] | None:
         if lanes.live and not kept:
             return None
         records: dict[int, dict] = {}
+        mid_boot = skipped = 0
         for position, run in enumerate(pending):
             with time_limit(config.max_wall_s):
                 if position in peel:
-                    intermittent, schedule, injected = session.peel(
+                    intermittent, schedule, injected, units = session.peel(
                         peel[position], _schedule_of(run.plan)
                     )
+                    if units:
+                        mid_boot += 1
+                        skipped += units
                 else:
                     intermittent = leader
                     schedule = list(leader_schedule)
@@ -220,5 +231,8 @@ def execute_batch_group(config, members: list[Run]) -> dict[int, dict] | None:
         _leader_memo[key] = entry
         while len(_leader_memo) > _LEADER_MEMO_SIZE:
             del _leader_memo[next(iter(_leader_memo))]
-    note_lane_stats(packed=len(pending), peeled=len(peel), spans=spans)
+    note_lane_stats(
+        packed=len(pending), peeled=len(peel), spans=spans,
+        mid_boot=mid_boot, skipped=skipped,
+    )
     return records

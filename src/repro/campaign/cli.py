@@ -201,6 +201,7 @@ def _print_summary(report: dict, config: CampaignConfig, elapsed: float,
             print(
                 f"  lanes: {tier['lanes_packed']} packed "
                 f"({tier['lanes_peeled']} peeled, "
+                f"{tier['peels_mid_boot']} from mid-boot nodes, "
                 f"{tier['batch_spans']} batch spans)"
             )
     coverage = report.get("coverage")

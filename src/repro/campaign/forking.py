@@ -21,9 +21,9 @@ report contract:
   an adapter, and differ only in their injection schedule, so the
   shared schedule prefix is simulated once; and the lane engine
   (:mod:`repro.batch.engine`), whose leader is a session's fault-free
-  pass and whose peeled lanes replay from its boot nodes.  Sampled
-  runs and fuzz genotypes (whose adapter is bound to their stimulus)
-  go through the same chunk and group code.
+  pass and whose peeled lanes replay from its boot and mid-boot
+  nodes.  Sampled runs and fuzz genotypes (whose adapter is bound to
+  their stimulus) go through the same chunk and group code.
 
 Why the reports stay byte-identical: a boundary snapshot restores the
 *entire* simulated world (memory, CPU, peripherals, capacitor voltage,
@@ -41,6 +41,9 @@ to the legacy from-reset path for the affected runs.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from operator import itemgetter
 
 from repro.campaign.config import CampaignConfig
 from repro.campaign.faults import (
@@ -69,6 +72,11 @@ from repro.snapshot import DirtyTracker, capture, restore
 from repro.testing import time_limit
 
 _BOUNDARY = "snapshot-boundary"
+
+#: Boot work units between the mid-boot nodes a fault-free pass keeps
+#: (see :meth:`ForkSession.fault_free`): a peel replays fewer than this
+#: many units of the leader's boot before its own schedule takes over.
+MID_BOOT_SPACING = 512
 
 #: Host-side program state worth snapshotting.  Every application in
 #: the repo keeps its behavioural host state (iteration counters,
@@ -190,10 +198,12 @@ class ForkSession:
       crosses: prefix-group forking and shrinker replays;
     - :meth:`fault_free` runs the empty schedule to its end, pausing at
       every organic power-off and keeping the node each boot began
-      from: the lane engine's leader;
-    - :meth:`peel` replays one schedule from such a boot node and
-      caches nothing, so a session kept for a whole worker process
-      does not grow.
+      from (a *boot node*) and, for programs that resume mid-boot,
+      a node every :data:`MID_BOOT_SPACING` units inside each boot (a
+      *mid-boot node*): the lane engine's leader;
+    - :meth:`peel` replays one schedule from the latest such node
+      before the schedule fires and caches nothing, so a session kept
+      for a whole worker process does not grow.
 
     ``plan`` gives a harvested-power session for a group of
     same-environment runs, recording each run's brown-out schedule;
@@ -238,6 +248,9 @@ class ForkSession:
         self._chain[()] = self._capture_node(0)
         #: The node each fault-free boot began from (see fault_free).
         self._boots: list[tuple] = [self._chain[()]]
+        #: Per fault-free boot, its mid-boot nodes as ``(boot_units,
+        #: writes_seen, node)`` in capture order (see fault_free).
+        self._mid: list[list[tuple[int, int, tuple]]] = [[]]
 
     # -- bookkeeping -------------------------------------------------------
     @property
@@ -258,6 +271,12 @@ class ForkSession:
         key = tuple(int(n) for n in schedule)
         return tuple(sorted(key)) if self.mode == "commit_boundary" else key
 
+    def _writes_seen(self) -> int:
+        """The commit trigger's FRAM write tally (0 on the op-index axis)."""
+        return (
+            self.injector.writes_seen if self.mode == "commit_boundary" else 0
+        )
+
     def _consumed(self) -> int:
         """Schedule entries consumed at the current pause boundary."""
         if self.mode == "commit_boundary":
@@ -266,11 +285,17 @@ class ForkSession:
 
     # -- execution ---------------------------------------------------------
     def _run(
-        self, node: tuple | None, key: tuple[int, ...], pause=None
+        self,
+        node: tuple | None,
+        key: tuple[int, ...],
+        pause=None,
+        mid_boot: bool = False,
     ) -> tuple[Observation, list[int], int]:
         """Restore ``node``, schedule ``key``, and run to the end of the leg.
 
-        ``node=None`` runs on from the device's current state.  Each stop
+        ``node=None`` runs on from the device's current state; with
+        ``mid_boot`` the node was captured inside a boot, which the first
+        segment continues (``executor.run(mid_boot=True)``).  Each stop
         at a boundary calls ``pause(boots)``, if given, and resumes; a
         stop anyone else requested owns the run, so it raises and the
         caller falls back to a from-reset leg.  Returns ``(observation,
@@ -299,8 +324,10 @@ class ForkSession:
         try:
             while True:
                 result = self.executor.run(
-                    until=self._deadline, stop_on_fault=True
+                    until=self._deadline, stop_on_fault=True,
+                    mid_boot=mid_boot,
                 )
+                mid_boot = False
                 boots += result.boots
                 faults += len(result.faults)
                 if result.status is not RunStatus.INTERRUPTED:
@@ -369,47 +396,88 @@ class ForkSession:
         the commit trigger keeps while it never fires — with the
         observation and the recorded schedule.  Call it once, on a fresh
         session with a plan.
+
+        For a program that resumes mid-boot (``mid_boot_resumable``:
+        its boot is :func:`~repro.apps.isa_app.run_to_halt` and its host
+        state scalar), the pass also keeps a node at the first
+        ``step_block`` boundary past every :data:`MID_BOOT_SPACING` boot
+        units, through the CPU's ``between_blocks`` probe, which is set
+        only for this pass.  A high-level Python app keeps boot nodes
+        only: its boot is a Python call stack no snapshot can hold.
         """
         sim, target, recorder = self.sim, self.target, self.recorder
 
         def boundary() -> tuple[int, int, int]:
-            writes = (
-                self.injector.writes_seen
-                if self.mode == "commit_boundary" else 0
+            return (
+                len(recorder.schedule()), target.boot_units,
+                self._writes_seen(),
             )
-            return len(recorder.schedule()), target.boot_units, writes
 
         boundaries: list[tuple[int, int, int]] = []
+        next_mid = MID_BOOT_SPACING
 
         def pause(boots: int) -> None:
+            nonlocal next_mid
             boundaries.append(boundary())
             self._boots.append(self._capture_node(boots))
+            self._mid.append([])
+            next_mid = MID_BOOT_SPACING
+
+        def between_blocks() -> None:
+            nonlocal next_mid
+            units = target.boot_units
+            if units >= next_mid:
+                next_mid = (units // MID_BOOT_SPACING + 1) * MID_BOOT_SPACING
+                # Boots started so far, the one running included.
+                node = self._capture_node(len(self._boots))
+                self._mid[-1].append((units, self._writes_seen(), node))
 
         def pauser(state: PowerState) -> None:
             if state is PowerState.OFF:
                 sim.request_stop(_BOUNDARY)
 
         target.power.on_power_change.append(pauser)
+        if getattr(self.program, "mid_boot_resumable", False):
+            target.cpu.between_blocks = between_blocks
         try:
             observation, schedule, _ = self._run(None, (), pause)
         finally:
             # Forced brown-outs in later runs change the power state
-            # too: the pause hook must not outlive this pass.
+            # too, and peels keep no nodes: neither hook may outlive
+            # this pass.
             target.power.on_power_change.remove(pauser)
+            target.cpu.between_blocks = None
         boundaries.append(boundary())
         return boundaries, observation, schedule
 
-    def peel(self, boot: int, schedule) -> tuple[Observation, list[int], int]:
-        """Replay ``schedule`` from the node fault-free boot ``boot`` began from.
+    def peel(
+        self, boot: int, schedule
+    ) -> tuple[Observation, list[int], int, int]:
+        """Replay ``schedule`` from fault-free boot ``boot``'s latest node.
 
         The lane engine's peeled lane: its schedule first fires inside
-        that boot, so up to the node its trajectory is the fault-free
-        one.  The node's injector state is the one a from-reset injector
-        holds there: the inert pass injector counted every reboot and,
-        in commit mode, every FRAM write, and never fired.  Nothing is
-        cached.
+        that boot, so until it fires its trajectory is the fault-free
+        one.  The node is the boot's last mid-boot node still before the
+        firing point — boot units strictly below the schedule's entry
+        for the boot on the op-index axis, a write tally strictly below
+        its first count on the commit axis — or else the node the boot
+        began from.  Either node's injector state is the one a
+        from-reset injector holds there: the inert pass injector counted
+        every reboot and, in commit mode, every FRAM write, and never
+        fired.  Nothing is cached.  Returns what :meth:`execute` does
+        plus the boot units the node skipped (0 from a boot node).
         """
-        return self._run(self._boots[boot], self._key(schedule))
+        key = self._key(schedule)
+        if self.mode == "commit_boundary":
+            axis, fires_at = 1, key[0] if key else 0
+        else:
+            axis, fires_at = 0, key[boot] if boot < len(key) else 0
+        mid = self._mid[boot]
+        later = bisect_left(mid, fires_at, key=itemgetter(axis))
+        if later:
+            units, _, node = mid[later - 1]
+            return (*self._run(node, key, mid_boot=True), units)
+        return (*self._run(self._boots[boot], key), 0)
 
 
 # -- prefix-grouped chunk execution ------------------------------------------

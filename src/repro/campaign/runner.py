@@ -75,6 +75,8 @@ _TIER_STATS = {
     "lanes_packed": 0,
     "lanes_peeled": 0,
     "batch_spans": 0,
+    "peels_mid_boot": 0,
+    "peel_units_skipped": 0,
 }
 
 
@@ -87,16 +89,27 @@ def _harvest_tier_stats(target) -> None:
     stats["blocks_deopts"] += cpu.blocks_deopts
 
 
-def note_lane_stats(*, packed: int = 0, peeled: int = 0, spans: int = 0) -> None:
+def note_lane_stats(
+    *,
+    packed: int = 0,
+    peeled: int = 0,
+    spans: int = 0,
+    mid_boot: int = 0,
+    skipped: int = 0,
+) -> None:
     """Fold one batched group's lane accounting into the process tallies.
 
     ``packed`` counts lanes that entered the lane engine, ``peeled`` the
     subset peeled back into the scalar path mid-run, and ``spans`` the
     lock-step boundary-to-boundary segments the batch survived.
+    ``mid_boot`` counts the peels served from a mid-boot node and
+    ``skipped`` the boot units those nodes spared them.
     """
     _TIER_STATS["lanes_packed"] += packed
     _TIER_STATS["lanes_peeled"] += peeled
     _TIER_STATS["batch_spans"] += spans
+    _TIER_STATS["peels_mid_boot"] += mid_boot
+    _TIER_STATS["peel_units_skipped"] += skipped
 
 
 def tier_stats_snapshot() -> dict:

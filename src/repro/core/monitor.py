@@ -19,15 +19,19 @@ behavior with changes in energy state".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.sim import units
 from repro.sim.kernel import Event, Simulator
 
 
-@dataclass(frozen=True)
-class StreamEvent:
-    """One event on one passive stream."""
+class StreamEvent(NamedTuple):
+    """One event on one passive stream.
+
+    Immutable, compared and hashed field by field.  A named tuple
+    because every energy sample builds one, and a frozen dataclass
+    costs about twice as much to construct.
+    """
 
     time: float
     stream: str

@@ -129,6 +129,11 @@ class Cpu:
         # record the landing PC, identically under step() and
         # step_block(), so coverage is dispatch-invariant by design.
         self.coverage = None
+        # Optional boot probe: ``run_to_halt`` calls it after every
+        # ``step_block`` (an instruction boundary) when set.  It is read
+        # once per boot, so while it is None it costs nothing; a fork
+        # session's fault-free pass sets it to keep mid-boot nodes.
+        self.between_blocks: Callable[[], None] | None = None
         # Decoded-instruction cache: PC -> the shared decode-table entry
         # ``(instruction, size, cycles, worst_cycles)``.  FRAM-resident
         # code is decoded once per image instead of once per retirement.

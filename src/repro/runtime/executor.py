@@ -127,6 +127,7 @@ class IntermittentExecutor:
         max_boots: int | None = None,
         stop_on_fault: bool = False,
         until: float | None = None,
+        mid_boot: bool = False,
     ) -> RunResult:
         """Run intermittently for ``duration`` seconds of simulated time.
 
@@ -147,9 +148,25 @@ class IntermittentExecutor:
             in float arithmetic, and the snapshot/fork machinery's
             byte-identical contract hinges on landing on the *same*
             deadline every segment.
+        mid_boot:
+            Continue the boot the device is in instead of starting one:
+            the first ``main`` call runs without charging or rebooting
+            and is not counted in ``boots``.  For a device restored to a
+            snapshot taken inside a boot, between two ``step_block``
+            calls, of a program whose ``main`` continues from any such
+            point (``mid_boot_resumable``); the fork sessions' peels
+            resume from these.
         """
         if (duration is None) == (until is None):
             raise ValueError("pass exactly one of duration= or until=")
+        if mid_boot and not (
+            getattr(self.program, "mid_boot_resumable", False)
+            and self.device.power.is_on
+        ):
+            raise ValueError(
+                "mid_boot needs a powered device and a program that "
+                "resumes mid-boot"
+            )
         if not self.flashed:
             self.flash()
         # Hot-path handles: a campaign boots the device hundreds of
@@ -167,6 +184,7 @@ class IntermittentExecutor:
         first_fault: float | None = None
         status = RunStatus.TIMEOUT
         detail = None
+        resume = mid_boot
         try:
             while sim.now < deadline:
                 if sim.stop_requested:
@@ -199,8 +217,11 @@ class IntermittentExecutor:
                         break
                     if not power.is_on:
                         continue  # charging paused by a stop request
-                device.reboot()
-                boots += 1
+                if resume:
+                    resume = False  # the powered boot goes on
+                else:
+                    device.reboot()
+                    boots += 1
                 try:
                     main(self.api)
                     status = RunStatus.COMPLETED

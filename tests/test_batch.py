@@ -30,7 +30,12 @@ from repro.campaign.config import CampaignConfig
 from repro.campaign.faults import plan_faults
 from repro.campaign.forking import _execute_group, execute_chunk
 from repro.campaign.report import render_json
-from repro.campaign.runner import Run, tier_stats_delta, tier_stats_snapshot
+from repro.campaign.runner import (
+    Run,
+    execute_safe,
+    tier_stats_delta,
+    tier_stats_snapshot,
+)
 from repro.campaign.scheduler import run_campaign
 from repro.mcu.memory import FRAM_BASE, FRAM_SIZE
 from repro.runtime.checkpoint import fletcher16
@@ -406,7 +411,9 @@ def test_leader_that_tripped_the_wall_clock_is_not_kept(
     real_capture = forking.ForkSession._capture_node
 
     def capture_then_jump(session, boots):
-        if boots:  # the node after a pause
+        # The node after the first pause: the device is dark there, and
+        # lit at every mid-boot node captured before it.
+        if boots and not session.target.power.is_on:
             jumped.append(True)
         return real_capture(session, boots)
 
@@ -514,7 +521,10 @@ def test_memoised_leader_session_stays_bounded(leader_runs):
         assert execute_batch_group(_SWEEP_CONFIG, members) is not None
         assert tier_stats_delta(before)["lanes_peeled"] == 2
         ((session, *_),) = engine._leader_memo.values()
-        sizes.append(len(session._chain) + len(session._boots))
+        sizes.append(
+            len(session._chain) + len(session._boots)
+            + sum(len(nodes) for nodes in session._mid)
+        )
     assert len(leader_runs) == 1
     assert sizes == [sizes[0]] * len(sizes)
 
@@ -543,6 +553,108 @@ def test_boot_nodes_hold_the_from_reset_injector_state(mode):
             assert injector_state == (len(completed), 0)
         else:
             assert injector_state == (0, boundary[2], 0)
+
+
+# -- mid-boot nodes ----------------------------------------------------------
+def _with_schedule(run: Run, schedule) -> Run:
+    field = (
+        "commit_counts" if run.plan.mode == "commit_boundary"
+        else "ops_schedule"
+    )
+    return run._replace(
+        plan=dataclasses.replace(run.plan, **{field: tuple(schedule)})
+    )
+
+
+@pytest.mark.blockcache
+@pytest.mark.parametrize("mode", ["op_index", "commit_boundary"])
+def test_mid_boot_peels_match_scalar_and_from_reset(mode, leader_runs):
+    """Peels pick the last mid-boot node strictly before their firing point.
+
+    The lanes fire before the boot's first mid-boot node, exactly at a
+    node's position (served by the node before it), one past it (served
+    by it), inside the second boot, and once more with further entries
+    after the first injection.  The position is the boot's work units on
+    the op-index axis and the cumulative FRAM write tally on the commit
+    axis.  Every record equals the scalar fork group's and the
+    from-reset leg's, and the tallies name the nodes the peels took.
+    """
+    config = dataclasses.replace(_SWEEP_CONFIG, modes=(mode,))
+    adapter = ChecksumAdapter()
+    runs = _members(config, 5, adapter)
+    probe = forking.ForkSession(
+        config, adapter, runs[0].plan, derive_seed(runs[0].seed, "intermittent")
+    )
+    boundaries, _, _ = probe.fault_free()
+    axis = 1 if mode == "commit_boundary" else 0
+    (u0, *_), (u1, *_) = probe._mid[0][:2]
+    (v1, *_) = probe._mid[1][1]
+    p0, p1 = probe._mid[0][0][axis], probe._mid[0][1][axis]
+    q1 = probe._mid[1][1][axis]
+    if mode == "commit_boundary":
+        later = (q1 + 1,)
+        more = (p1 + 1, p1 + 40, boundaries[0][2] + 10)
+    else:
+        later = (boundaries[0][1] + 1, q1 + 1)
+        more = (p1 + 1, 700, 1500)
+    schedules = [(p0 // 2,), (p1,), (p1 + 1,), later, more]
+    members = [_with_schedule(run, s) for run, s in zip(runs, schedules)]
+    before = tier_stats_snapshot()
+    batched = execute_batch_group(config, members)
+    lanes = tier_stats_delta(before)
+    assert batched is not None
+    assert _records_json(batched) == _records_json(
+        _execute_group(config, members)
+    )
+    assert _records_json(batched) == _records_json(
+        {run.index: execute_safe(config, run, snapshot=False)
+         for run in members}
+    )
+    assert lanes["lanes_peeled"] == 5
+    assert lanes["peels_mid_boot"] == 4
+    assert lanes["peel_units_skipped"] == u0 + u1 + v1 + u1
+
+
+def test_mid_boot_nodes_only_for_programs_that_resume_there():
+    """An ISA firmware keeps spaced mid-boot nodes; a Python app none.
+
+    A high-level app's boot is a Python call stack, which no snapshot
+    holds.  Either way the probe is gone once the pass ends, so later
+    runs on the session pay nothing for it.
+    """
+    for app, kept in (("rfid_firmware", True), ("counter", False)):
+        config = dataclasses.replace(_SWEEP_CONFIG, app=app)
+        (run,) = _members(config, 1, get_adapter(app))
+        session = forking.ForkSession(
+            config, run.adapter, run.plan, derive_seed(run.seed, "intermittent")
+        )
+        session.fault_free()
+        assert session.target.cpu.between_blocks is None
+        nodes = [node for boot in session._mid for node in boot]
+        assert bool(nodes) is kept
+        for boot in session._mid:
+            units = [entry[0] for entry in boot]
+            assert units == sorted(units)
+            assert all(
+                later // forking.MID_BOOT_SPACING
+                > earlier // forking.MID_BOOT_SPACING
+                for earlier, later in zip([0, *units], units)
+            )
+
+
+@pytest.mark.batch_smoke
+def test_campaign_peels_from_mid_boot_nodes():
+    """An op-index sweep peels from mid-boot nodes, byte for byte."""
+    stats = {}
+    batched = render_json(run_campaign(_SWEEP_CONFIG, batch=True, stats=stats))
+    assert stats["peels_mid_boot"] > 0
+    assert (
+        stats["peel_units_skipped"]
+        >= forking.MID_BOOT_SPACING * stats["peels_mid_boot"]
+    )
+    assert batched == render_json(
+        run_campaign(_SWEEP_CONFIG, snapshot=False, batch=False)
+    )
 
 
 def test_control_leg_memo_keys_on_the_adapter():

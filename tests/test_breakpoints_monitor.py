@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.breakpoints import Breakpoint, BreakpointKind, BreakpointManager
-from repro.core.monitor import PassiveMonitor
+from repro.core.monitor import PassiveMonitor, StreamEvent
 from repro.sim import units
 from repro.sim.kernel import Simulator
 
@@ -170,6 +170,17 @@ class TestPassiveMonitor:
         events = monitor.stream_events("iobus")
         assert len(events) == 1
         assert events[0].value["payload"] == b"y"
+
+    def test_stream_events_are_immutable_values(self):
+        event = StreamEvent(time=0.5, stream="watchpoints", value=3, vcap=2.2)
+        assert repr(event) == (
+            "StreamEvent(time=0.5, stream='watchpoints', value=3, vcap=2.2)"
+        )
+        assert event == StreamEvent(0.5, "watchpoints", 3, 2.2)
+        assert event != StreamEvent(0.5, "watchpoints", 4, 2.2)
+        assert len({event, StreamEvent(0.5, "watchpoints", 3, 2.2)}) == 1
+        with pytest.raises(AttributeError):
+            event.vcap = 0.0
 
     def test_listeners_see_live_events(self):
         _, _, monitor = self._monitor()

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IntermittentExecutor, RunStatus, Simulator, TargetDevice
+from repro.apps.rfid_isa import RfidIsaFirmware
 from repro.mcu.device import PowerFailure
 from repro.mcu.hlapi import DeviceAPI, ProgramComplete
 from repro.mcu.memory import FRAM_BASE, MemoryFault, NULL
 from repro.power import make_wisp_power_system
 from repro.runtime.checkpoint import CheckpointManager
+from repro.snapshot import capture, restore
 from repro.runtime.nonvolatile import (
     NVCounter,
     NVLinkedList,
@@ -359,6 +361,73 @@ class TestExecutor:
         executor.flash()
         assert fast_target.power.vcap == pytest.approx(v_before)
         assert not fast_target.power.is_tethered
+
+
+def _world(device: TargetDevice, program) -> tuple:
+    """What a resumed run must reproduce: clock, energy, CPU, memory."""
+    return (
+        device.sim.now,
+        device.cycles_executed,
+        device.energy_consumed,
+        device.work_units,
+        device.boot_units,
+        device.reboot_count,
+        device.power.vcap,
+        tuple(device.cpu.registers),
+        device.cpu.instructions_retired,
+        tuple(bytes(region._data) for region in device.memory.regions),
+        program.stim_pos,
+    )
+
+
+@pytest.mark.blockcache
+class TestMidBootResume:
+    """``run(mid_boot=True)`` continues a boot a snapshot was taken in."""
+
+    def _executor(self):
+        sim = Simulator(seed=77)
+        device = make_fast_target(sim)
+        program = RfidIsaFirmware(False, 1500, bytes(range(0, 256, 9)))
+        executor = IntermittentExecutor(sim, device, program)
+        executor.flash()
+        return sim, device, program, executor
+
+    def test_continuing_gives_the_uninterrupted_run(self):
+        sim, device, program, executor = self._executor()
+        deadline = sim.now + 0.3
+        saved = []
+
+        def probe():
+            # Inside the third boot, between two step_block calls.
+            if not saved and device.reboot_count == 3 and device.boot_units >= 200:
+                saved.append((capture(device), program.stim_pos))
+
+        device.cpu.between_blocks = probe
+        whole = executor.run(until=deadline)
+        device.cpu.between_blocks = None
+        assert saved and whole.boots > 3
+        end = _world(device, program)
+        snap, stim_pos = saved[0]
+        restore(device, snap)
+        program.stim_pos = stim_pos
+        rest = executor.run(until=deadline, mid_boot=True)
+        assert _world(device, program) == end
+        assert (rest.status, rest.sim_time, rest.faults, rest.detail) == (
+            whole.status, whole.sim_time, whole.faults, whole.detail
+        )
+        # The resumed boot was started (and rebooted into) before the
+        # snapshot, so it counts in neither tally.
+        assert rest.boots == whole.boots - 3
+        assert rest.reboots == whole.reboots - 3
+
+    def test_refused_without_a_resumable_program_or_power(self, sim, fast_target):
+        executor = IntermittentExecutor(sim, fast_target, _CountingApp())
+        with pytest.raises(ValueError, match="mid_boot"):
+            executor.run(duration=0.1, mid_boot=True)
+        _, device, _, executor = self._executor()
+        assert not device.power.is_on
+        with pytest.raises(ValueError, match="mid_boot"):
+            executor.run(duration=0.1, mid_boot=True)
 
 
 class TestBrownoutInjector:
