@@ -32,6 +32,13 @@ from repro.sim import units
 from repro.sim.kernel import Simulator
 
 
+#: Control periods the fine discharge load may go without reaching a new
+#: low before ``discharge_to`` calls its target unreachable: long enough
+#: to ride out a few fading coherence intervals of the harvester that is
+#: holding the capacitor up, far shorter than the loop's timeout.
+_STALL_PERIODS = 300
+
+
 class ChargeDischargeCircuit:
     """The energy-manipulation circuit plus its control loops.
 
@@ -66,7 +73,8 @@ class ChargeDischargeCircuit:
         # The fine load draws V / 1.5 kOhm, which out-pulls the ~1.1 mA a
         # WISP harvests at 1 m from the reader only above about 1.65 V.
         # Below that, near the reader, the approach loop stalls a few mV
-        # above the target and discharge_to runs into its timeout.
+        # above the target; discharge_to notices within _STALL_PERIODS
+        # control periods and raises, naming the floor it reached.
         fine_discharge_resistance: float = 1.5 * units.KOHM,
         coarse_band: float = 10 * units.MV,
         control_period: float = 100 * units.US,
@@ -134,6 +142,12 @@ class ChargeDischargeCircuit:
         period = self.control_period
         charging = charge_current is not None
         deadline = sim.now + timeout
+        # The fine load's lowest voltage so far, and the time by which it
+        # must reach a lower one; if it does not, the harvester holds the
+        # capacitor up at least as hard as the load pulls it down.
+        floor = math.inf
+        stall_window = _STALL_PERIODS * period
+        stalled_at = deadline
         while True:
             measured = measure(capacitor._voltage)
             if charging:
@@ -163,6 +177,14 @@ class ChargeDischargeCircuit:
                     current = -coarse_current
                 else:
                     current = -(v / self.fine_discharge_resistance)
+                    if v < floor:
+                        floor = v
+                        stalled_at = sim._now + stall_window
+                    elif sim._now >= stalled_at:
+                        raise TimeoutError(
+                            f"discharge_to({v_target:.3f}) stuck at {v:.3f} V: "
+                            f"the harvester holds it above {floor:.3f} V"
+                        )
                 pulse = period
             # StorageCapacitor.apply_current, clamp as its voltage setter.
             v = v + current * pulse / capacitance
@@ -207,7 +229,11 @@ class ChargeDischargeCircuit:
         then the fine (high-resistance) load finishes the approach, so
         the final undershoot is a couple of millivolts — small enough
         that high-rate compensation (printf, energy guards) stays
-        nearly free for the target.
+        nearly free for the target.  Raises ``TimeoutError`` after
+        ``timeout`` seconds, or sooner once the fine load has reached no
+        new low for ``_STALL_PERIODS`` control periods: the harvester
+        then holds the capacitor up, and the error names the lowest
+        level the load reached.
         """
         if v_target < 0.0:
             raise ValueError(f"target voltage must be non-negative (got {v_target})")

@@ -73,6 +73,18 @@ from repro.testing import time_limit
 
 _BOUNDARY = "snapshot-boundary"
 
+
+def _request_boundary(sim) -> None:
+    """Pause at the next safe point, unless a stop is already pending.
+
+    A boundary never replaces a pending reason: a stop someone else
+    requested must reach :meth:`ForkSession._run`, which gives the run
+    up to the from-reset path.
+    """
+    if not sim.stop_requested:
+        sim.request_stop(_BOUNDARY)
+
+
 #: Boot work units between the mid-boot nodes a fault-free pass keeps
 #: (see :meth:`ForkSession.fault_free`): a peel replays fewer than this
 #: many units of the leader's boot before its own schedule takes over.
@@ -168,7 +180,7 @@ class _PausingBrownouts(ScheduledBrownouts):
 
     def _force(self) -> None:
         super()._force()
-        self.device.sim.request_stop(_BOUNDARY)
+        _request_boundary(self.device.sim)
 
 
 class _PausingCommitTrigger(CommitBoundaryTrigger):
@@ -176,7 +188,7 @@ class _PausingCommitTrigger(CommitBoundaryTrigger):
 
     def _force(self) -> None:
         super()._force()
-        self.device.sim.request_stop(_BOUNDARY)
+        _request_boundary(self.device.sim)
 
 
 # -- the fork session --------------------------------------------------------
@@ -434,7 +446,7 @@ class ForkSession:
 
         def pauser(state: PowerState) -> None:
             if state is PowerState.OFF:
-                sim.request_stop(_BOUNDARY)
+                _request_boundary(sim)
 
         target.power.on_power_change.append(pauser)
         if getattr(self.program, "mid_boot_resumable", False):

@@ -46,7 +46,8 @@ class EnergySource(Protocol):
     any internal state (no fading redraws, no RNG consumption).  The
     power system's charging fast path batches steps only inside such a
     window; sources without ``hold_until`` are never batched over.
-    Returning ``t`` itself means "no guarantee right now".
+    Returning ``t`` itself means "no guarantee right now"; the result is
+    never earlier than ``t``.
     """
 
     def open_circuit_voltage(self, t: float) -> float:
@@ -249,22 +250,34 @@ class RFHarvester:
 
         Strictly conservative: the returned time never exceeds the next
         instant at which ``harvested_power`` could change value or draw
-        from the RNG.  If the fading coherence interval has already
-        lapsed (the next call would redraw), returns ``t`` itself so the
-        caller takes the slow path and the redraw lands exactly where
-        the stepped integration would have placed it.
+        from the RNG, and is never earlier than ``t``.  The duty edge is
+        found by the same test as ``field_on`` and taken a few ulps
+        early, so that rounding in the edge arithmetic never carries the
+        hold past the true edge.  While the field is off,
+        ``harvested_power`` reads 0 without drawing whatever the fading
+        state, so the hold runs to the start of the next period; a
+        lapsed fading draw then redraws at the first lit instant,
+        exactly where the stepped integration places it.  While the
+        field is lit and the fading coherence interval has lapsed (the
+        next call would redraw), returns ``t`` itself so the caller
+        takes the slow path and the redraw lands where the stepped
+        integration would have placed it.
         """
         hold = math.inf
         if self.duty_period > 0.0 and self.duty_fraction < 1.0:
-            # Mirrors field_on(): phase < duty_fraction means lit.
-            base = t - (t % self.duty_period)
-            on_edge = base + self.duty_period * self.duty_fraction
-            hold = on_edge if t < on_edge else base + self.duty_period
+            period = self.duty_period
+            offset = t % period
+            base = t - offset
+            lit = offset / period < self.duty_fraction  # as field_on()
+            edge = base + period * self.duty_fraction if lit else base + period
+            hold = edge - 4.0 * math.ulp(edge)
+            if not lit:
+                return hold if hold > t else t
         if self.fading_sigma > 0.0 and self._rng is not None:
             fade_hold = self._fade_until if self._fade_until > t else t
             if fade_hold < hold:
                 hold = fade_hold
-        return hold
+        return hold if hold > t else t
 
 
 class SolarHarvester:

@@ -461,9 +461,21 @@ class PowerSystem:
                 new_v = v_inf + (v - v_inf) * exp_charge
             else:
                 new_v = v - lin_delta  # rectifier blocks: linear discharge
-            v = min(max(new_v, 0.0), vmax)
+            # Branch-chain clamps: bit-identical to min(max(x, 0.0), vmax),
+            # NaN and -0.0 included (see TargetDevice.execute_cycles), at
+            # a quarter of the cost of the two builtin calls.
+            if new_v < 0.0:
+                v = 0.0
+            elif new_v > vmax:
+                v = vmax
+            else:
+                v = new_v
             if leak_r is not None and v > 0.0:
-                v = min(max(v * leak_factor, 0.0), vmax)
+                v = v * leak_factor
+                if v < 0.0:
+                    v = 0.0
+                elif v > vmax:
+                    v = vmax
             t = next_t
             steps += 1
             if v >= turn_on or v <= 0.0:

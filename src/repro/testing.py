@@ -129,14 +129,18 @@ class BrownoutInjector:
         self._watch.remove()
 
 
+_FAST_WISP_CONSTANTS = replace(WispPowerConstants(), capacitance=4.7 * units.UF)
+
+
 def fast_wisp_constants() -> WispPowerConstants:
     """WISP constants with a 10x smaller capacitor.
 
     Same thresholds and currents, so per-op physics are unchanged, but
     each charge/discharge cycle holds 10x less work — tests see many
-    organic reboots per simulated second.
+    organic reboots per simulated second.  The constants are frozen, so
+    every caller shares one instance (a campaign builds a device per leg).
     """
-    return replace(WispPowerConstants(), capacitance=4.7 * units.UF)
+    return _FAST_WISP_CONSTANTS
 
 
 def make_fast_target(

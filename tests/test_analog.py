@@ -209,6 +209,24 @@ class TestChargeDischargeCircuit:
         with pytest.raises(TimeoutError):
             circuit.charge_to(2.4, timeout=0.01)
 
+    def test_discharge_below_the_harvested_floor_stalls_early(self):
+        """Near the reader the fine load cannot out-pull the harvester.
+
+        At 1 m it stalls a few mV above 1.2 V; the loop says so within a
+        few hundred control periods instead of burning its 1 s timeout,
+        and names the lowest level it reached.
+        """
+        sim = Simulator(seed=77)
+        power = make_wisp_power_system(sim, initial_voltage=2.4)
+        adc = Adc(rng=sim.rng, noise_sigma_v=0.5 * units.MV, stream="edb-adc")
+        circuit = ChargeDischargeCircuit(sim, power, adc)
+        t0 = sim.now
+        with pytest.raises(TimeoutError, match="holds it above") as info:
+            circuit.discharge_to(1.2)
+        assert sim.now - t0 < 0.2
+        floor = float(str(info.value).split("above ")[1].split(" V")[0])
+        assert 1.2 < floor <= power.vcap
+
     def test_bad_targets_rejected(self):
         _, _, circuit = self._circuit()
         with pytest.raises(ValueError):

@@ -478,6 +478,44 @@ def test_foreign_stop_sends_the_group_from_reset(leader_runs, monkeypatch):
     )
 
 
+def test_one_foreign_stop_mid_boot_is_not_lost(leader_runs, monkeypatch):
+    """A single foreign stop inside boot 0 still owns the leader pass.
+
+    The request lands once, at the leader's first mid-boot node (the
+    device is powered there), and is never repeated.  The pass's own
+    pause at the next power-off must not write over it: the lane engine
+    gives the group up, keeps no leader, and the chunk renders what the
+    from-reset path renders.
+    """
+    real_capture = forking.ForkSession._capture_node
+    requested = []
+
+    def capture_then_stop_once(session, boots):
+        if not requested and session.target.power.is_on and boots:
+            requested.append(session.target.boot_units)
+            session.sim.request_stop("debugger")
+        return real_capture(session, boots)
+
+    monkeypatch.setattr(
+        forking.ForkSession, "_capture_node", capture_then_stop_once
+    )
+    members = [
+        run._replace(plan=dataclasses.replace(run.plan, ops_schedule=schedule))
+        for run, schedule in zip(
+            _members(_SWEEP_CONFIG, 3, ChecksumAdapter()),
+            [(1000,), (2000, 500), (3000,)],
+        )
+    ]
+    assert execute_batch_group(_SWEEP_CONFIG, members) is None
+    assert requested and requested[0] >= forking.MID_BOOT_SPACING
+    assert len(leader_runs) == 0 and not engine._leader_memo
+    records = _execute_group(_SWEEP_CONFIG, members)
+    assert _records_json(records) == _records_json(
+        {run.index: forking.execute_safe(_SWEEP_CONFIG, run, snapshot=True)
+         for run in members}
+    )
+
+
 def test_tainted_entry_is_dropped_and_its_group_falls_back(leader_runs):
     """A draw on a stored leader's hub evicts it; the chunk still matches.
 

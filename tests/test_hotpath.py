@@ -235,6 +235,53 @@ class TestBatchedCharging:
         _, _, _, fast_ticks = self._charge(batch=True, duty=False)
         assert fast_ticks > 0
 
+    def test_dark_phase_longer_than_a_fade_is_held(self, monkeypatch):
+        """A dark phase outlasting the fading coherence time batches whole.
+
+        The 21 ms dark phase of a 30 ms period at fraction 0.3 lets each
+        10 ms fading draw lapse while the field is off.  The lapsed draw
+        cannot redraw before the next lit instant, so the charge still
+        matches ``batch=False`` bit for bit while stepping only near the
+        duty edges and redraws: O(1) ``PowerSystem.step`` calls per
+        period rather than one per 100 us of darkness.
+        """
+        steps = [0]
+        real_step = PowerSystem.step
+
+        def counting_step(power, dt, load_current=0.0):
+            steps[0] += 1
+            return real_step(power, dt, load_current)
+
+        monkeypatch.setattr(PowerSystem, "step", counting_step)
+        period = 30 * units.MS
+
+        def charge(batch: bool) -> tuple[tuple[float, float, int], int]:
+            steps[0] = 0
+            sim = Simulator(seed=7)
+            source = RFHarvester(
+                distance_m=1.5,
+                fading_sigma=1.5,
+                rng=sim.rng,
+                duty_period=period,
+                duty_fraction=0.3,
+            )
+            power = PowerSystem(
+                sim=sim,
+                source=source,
+                capacitor=StorageCapacitor(
+                    capacitance=47 * units.UF, voltage=0.5
+                ),
+            )
+            power.charge_until_on(batch=batch)
+            return (sim.now, power.vcap, power.turn_ons), steps[0]
+
+        fast, fast_steps = charge(batch=True)
+        slow, _ = charge(batch=False)
+        assert fast == slow  # exact float equality, by construction
+        periods = fast[0] / period
+        assert periods > 3  # the charge spans several dark phases
+        assert fast_steps <= 8 * (periods + 1)
+
 
 GOLDEN_CONFIG = CampaignConfig(
     app="linked_list",

@@ -286,7 +286,8 @@ FADING_SCRIPT = [
 ]
 
 #: Console-style energy manipulation through the wire, untraced; the
-#: discharge to 1.2 V cannot out-pull the harvester and times out.
+#: discharge to 1.2 V cannot out-pull the harvester and ends in the stall
+#: error.
 ENERGY_SCRIPT = [
     ("session.create", {"app": "fibonacci", "seed": 31337,
                         "iterations": 64}),
@@ -347,7 +348,7 @@ TRANSCRIPTS = {
     ),
     "energy_manipulation": (
         ENERGY_SCRIPT,
-        "46c215159c39743360e5897222cbb316b2534b028c4f5cf0b8907e11a4e9dcd5",
+        "ad1d1b3acdab0e07543db55e39afbcb01686413402b21c642f00fd8cb47e7431",
     ),
     "emulate": (
         EMULATE_SCRIPT,

@@ -8,7 +8,7 @@ comparator that makes operation intermittent (the Figure 2B sawtooth).
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.power.capacitor import StorageCapacitor
@@ -175,6 +175,64 @@ class TestHarvesters:
         power = h.harvested_power(0)
         rs = h.source_resistance(0)
         assert h.open_voltage**2 / (4 * rs) == pytest.approx(power)
+
+    @given(
+        period=st.one_of(st.just(0.0), st.floats(1e-4, 0.1)),
+        fraction=st.one_of(st.just(1.0), st.floats(0.01, 0.99)),
+        sigma=st.one_of(st.just(0.0), st.floats(0.1, 6.0)),
+        t=st.floats(0.0, 5.0),
+        drawn_before=st.one_of(st.none(), st.floats(0.0, 0.03)),
+    )
+    # Duty edges whose float arithmetic rounds one ulp past the true
+    # edge: the float below the unshrunk end of this dark phase is lit
+    # again, and the one below the unshrunk end of this lit phase dark.
+    @example(
+        period=0.027431667480627364, fraction=0.3, sigma=1.5,
+        t=0.5871835884641824, drawn_before=0.02,
+    )
+    @example(
+        period=0.02, fraction=0.385451065393404, sigma=1.5,
+        t=0.00438360118569292, drawn_before=0.001,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rf_hold_until_holds_power_without_drawing(
+        self, period, fraction, sigma, t, drawn_before
+    ):
+        """``harvested_power`` is constant and draw-free on ``[t, hold)``.
+
+        ``drawn_before`` places the last fading draw that long before
+        ``t`` (``None``: nothing drawn yet), so the draw at ``t`` may be
+        fresh or lapsed, in a lit or a dark phase.  While the field is
+        dark, the hold also reaches the start of the next period.
+        """
+        sim = Simulator(seed=3)
+        h = RFHarvester(
+            distance_m=1.3, fading_sigma=sigma, rng=sim.rng,
+            duty_period=period, duty_fraction=fraction,
+        )
+        if drawn_before is not None and t - drawn_before >= 0.0:
+            h.harvested_power(t - drawn_before)
+        hold = h.hold_until(t)
+        assert hold >= t
+        if period > 0.0 and fraction < 1.0 and not h.field_on(t):
+            end = t - t % period + period
+            assert hold >= end - 8.0 * math.ulp(end)
+        if not hold > t:
+            return
+
+        def state():
+            streams = {k: s.getstate() for k, s in sim.rng._streams.items()}
+            return streams, h._fade_db, h._fade_until
+
+        before = state()
+        power = h.harvested_power(t)
+        top = hold if hold < math.inf else t + 10.0
+        probes = [t + (top - t) * f for f in (0.25, 0.5, 0.999)]
+        probes.append(math.nextafter(top, -math.inf))
+        for x in probes:
+            if t <= x < hold:
+                assert h.harvested_power(x) == power
+        assert state() == before
 
     def test_solar_scales_with_irradiance(self):
         dim = SolarHarvester(irradiance_w_m2=100)
