@@ -32,11 +32,11 @@ from repro.sim import units
 from repro.sim.kernel import Simulator
 
 
-#: Control periods the fine discharge load may go without reaching a new
-#: low before ``discharge_to`` calls its target unreachable: long enough
-#: to ride out a few fading coherence intervals of the harvester that is
-#: holding the capacitor up, far shorter than the loop's timeout.
-_STALL_PERIODS = 300
+#: ADC noise sigmas by which a reading may fall short of the true voltage
+#: before ``discharge_to`` calls a target under the fine load's settling
+#: level reachable after all: a Gaussian reading falls 8 sigma short
+#: about once in 10^15.
+_NOISE_SIGMAS = 8.0
 
 
 class ChargeDischargeCircuit:
@@ -72,9 +72,9 @@ class ChargeDischargeCircuit:
         discharge_resistance: float = 220 * units.OHM,
         # The fine load draws V / 1.5 kOhm, which out-pulls the ~1.1 mA a
         # WISP harvests at 1 m from the reader only above about 1.65 V.
-        # Below that, near the reader, the approach loop stalls a few mV
-        # above the target; discharge_to notices within _STALL_PERIODS
-        # control periods and raises, naming the floor it reached.
+        # Below that, near the reader, the fine load settles against the
+        # harvester above the target; discharge_to sees that up front and
+        # raises, naming the level.
         fine_discharge_resistance: float = 1.5 * units.KOHM,
         coarse_band: float = 10 * units.MV,
         control_period: float = 100 * units.US,
@@ -142,12 +142,11 @@ class ChargeDischargeCircuit:
         period = self.control_period
         charging = charge_current is not None
         deadline = sim.now + timeout
-        # The fine load's lowest voltage so far, and the time by which it
-        # must reach a lower one; if it does not, the harvester holds the
-        # capacitor up at least as hard as the load pulls it down.
-        floor = math.inf
-        stall_window = _STALL_PERIODS * period
-        stalled_at = deadline
+        # A discharge the fine load cannot finish fails at its first
+        # tick instead of its timeout.
+        settled = None if charging else self._out_of_reach(v_target, deadline)
+        if settled is not None:
+            deadline = sim.now
         while True:
             measured = measure(capacitor._voltage)
             if charging:
@@ -157,6 +156,12 @@ class ChargeDischargeCircuit:
                 return
             v = capacitor._voltage
             if sim._now >= deadline:
+                if settled is not None:
+                    raise TimeoutError(
+                        f"discharge_to({v_target:.3f}) cannot get below "
+                        f"{settled:.3f} V: the fine load settles there "
+                        f"against the harvester"
+                    )
                 loop = "charge_to" if charging else "discharge_to"
                 raise TimeoutError(f"{loop}({v_target:.3f}) stuck at {v:.3f} V")
             if charging:
@@ -177,14 +182,6 @@ class ChargeDischargeCircuit:
                     current = -coarse_current
                 else:
                     current = -(v / self.fine_discharge_resistance)
-                    if v < floor:
-                        floor = v
-                        stalled_at = sim._now + stall_window
-                    elif sim._now >= stalled_at:
-                        raise TimeoutError(
-                            f"discharge_to({v_target:.3f}) stuck at {v:.3f} V: "
-                            f"the harvester holds it above {floor:.3f} V"
-                        )
                 pulse = period
             # StorageCapacitor.apply_current, clamp as its voltage setter.
             v = v + current * pulse / capacitance
@@ -201,6 +198,36 @@ class ChargeDischargeCircuit:
             else:
                 sim._sweep_to(now)
             idle_step(period)
+
+    def _out_of_reach(self, v_target: float, deadline: float) -> float | None:
+        """The fine load's settling level, if it keeps ``v_target`` out of reach.
+
+        Only a fine-load period ends a discharge: the coarse load stops
+        ``coarse_band`` above the target.  The fine load cannot take
+        Vcap below the level where it balances the source, so while the
+        source's conditions hold to ``deadline``, a target under that
+        level by more than one LSB (rounding, and the debugger's leakage
+        drifting while the loop runs) plus ``_NOISE_SIGMAS`` of ADC noise
+        is never read as reached; the band must clear twice that margin
+        for the coarse stage's last period too.  Returns the level, or
+        ``None`` when the loop must run as usual: fading, duty edges or
+        a trace sample before the deadline, a source the fine load
+        out-pulls, or a target within the margin.
+        """
+        settled = self.power.settling_level(
+            self.control_period, 1.0 / self.fine_discharge_resistance
+        )
+        if settled is None:
+            return None
+        level, bound = settled
+        margin = self.adc.lsb_volts + _NOISE_SIGMAS * self.adc.noise_sigma_v
+        if (
+            bound < deadline
+            or not level - v_target > margin
+            or not self.coarse_band > 2.0 * margin
+        ):
+            return None
+        return level
 
     # -- public control loops ------------------------------------------------
     def charge_to(
@@ -230,10 +257,10 @@ class ChargeDischargeCircuit:
         the final undershoot is a couple of millivolts — small enough
         that high-rate compensation (printf, energy guards) stays
         nearly free for the target.  Raises ``TimeoutError`` after
-        ``timeout`` seconds, or sooner once the fine load has reached no
-        new low for ``_STALL_PERIODS`` control periods: the harvester
-        then holds the capacitor up, and the error names the lowest
-        level the load reached.
+        ``timeout`` seconds, or at the first tick when the fine load
+        settles against the harvester too far above the target to ever
+        read it, under source conditions that hold past the timeout
+        (see ``_out_of_reach``); that error names the settling level.
         """
         if v_target < 0.0:
             raise ValueError(f"target voltage must be non-negative (got {v_target})")

@@ -47,7 +47,9 @@ class EnergySource(Protocol):
     power system's charging fast path batches steps only inside such a
     window; sources without ``hold_until`` are never batched over.
     Returning ``t`` itself means "no guarantee right now"; the result is
-    never earlier than ``t``.
+    never earlier than ``t``.  A bound found by float arithmetic (a duty
+    edge) is the source's to take early enough that rounding never
+    carries it past the true change: callers use it as it stands.
     """
 
     def open_circuit_voltage(self, t: float) -> float:

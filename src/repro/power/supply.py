@@ -350,6 +350,34 @@ class PowerSystem:
         )
         return window
 
+    def settling_level(
+        self, dt: float, conductance: float
+    ) -> tuple[float, float] | None:
+        """Where a resistive drain settles against the source, and until when.
+
+        ``(level, bound)``: a tick that drains ``v * conductance`` from
+        the capacitor for ``dt`` and then runs ``idle_step(dt)`` maps
+        ``level`` to itself while the source's conditions hold, that is
+        strictly before ``bound``.  The tick is affine in ``v`` with a
+        slope in (0, 1), so ticks from any start close in on ``level``
+        monotonically.  ``None`` when there is no such level: an
+        unknown source model, conditions about to change, a source that
+        charges nothing, or a level outside the rectifier's charging
+        branch or the capacitor's range.
+        """
+        window = self._build_idle_window(dt, self._active_source())
+        if window is None:
+            return None
+        capacitor = self.capacitor
+        drain = 1.0 - conductance * dt / capacitor.capacitance
+        keep = window.exp_charge
+        leak = window.leak_factor if window.leak_factor is not None else 1.0
+        # level = leak * (v_inf + (level * drain - v_inf) * keep)
+        level = leak * window.v_inf * (1.0 - keep) / (1.0 - leak * keep * drain)
+        if not (0.0 < level * drain < window.voc and level < capacitor.max_voltage):
+            return None
+        return level, window.bound
+
     def charge_until_on(
         self,
         step_dt: float = 100 * units.US,
@@ -529,10 +557,7 @@ class PowerSystem:
         ``hold_until`` is queried *before* ``thevenin`` so that a
         pending fading redraw (hold_until returning "now") aborts the
         probe without consuming the RNG draw — it must land on the
-        stepped path's schedule.  The bound is shrunk by a few ulps as
-        defence against boundary rounding in the sources' duty-edge
-        arithmetic (same hazard ``_charge_fast_forward`` re-verifies
-        against); the shrink only ever causes earlier slow-stepping.
+        stepped path's schedule.
         """
         if self._state is not PowerState.ON:
             return None
@@ -548,16 +573,15 @@ class PowerSystem:
         """``(voc, rs, bound)``: ``source``'s conditions held until ``bound``.
 
         ``None`` for an unknown source model or conditions about to
-        change.  See :meth:`steady_window` for the probe order and the
-        bound's shrink.
+        change.  See :meth:`steady_window` for the probe order; the
+        bound is ``hold_until``'s, whose contract already keeps it short
+        of any edge that rounding could misplace.
         """
         _, hold_until, thevenin = self._source_probes(source)
         if hold_until is None:
             return None  # unknown source model: never batch over it
         t0 = self.sim.now
         bound = hold_until(t0)
-        if bound != math.inf:
-            bound -= 8.0 * math.ulp(bound)
         if not bound > t0:  # also rejects a NaN bound
             return None
         if thevenin is not None:

@@ -209,23 +209,52 @@ class TestChargeDischargeCircuit:
         with pytest.raises(TimeoutError):
             circuit.charge_to(2.4, timeout=0.01)
 
-    def test_discharge_below_the_harvested_floor_stalls_early(self):
+    def _harvested(self, voltage, seed=77, fading_sigma=0.0):
+        """A circuit on a WISP harvesting at 1 m (optionally fading)."""
+        sim = Simulator(seed=seed)
+        power = make_wisp_power_system(
+            sim, initial_voltage=voltage, fading_sigma=fading_sigma
+        )
+        adc = Adc(rng=sim.rng, noise_sigma_v=0.5 * units.MV, stream="edb-adc")
+        return sim, power, ChargeDischargeCircuit(sim, power, adc)
+
+    def test_discharge_below_the_settling_level_fails_at_once(self):
         """Near the reader the fine load cannot out-pull the harvester.
 
-        At 1 m it stalls a few mV above 1.2 V; the loop says so within a
-        few hundred control periods instead of burning its 1 s timeout,
-        and names the lowest level it reached.
+        At 1 m the fine load settles at 1.709 V; a discharge to 1.2 V
+        says so at its first tick instead of burning its 1 s timeout,
+        names that level, and leaves the capacitor alone.
         """
-        sim = Simulator(seed=77)
-        power = make_wisp_power_system(sim, initial_voltage=2.4)
-        adc = Adc(rng=sim.rng, noise_sigma_v=0.5 * units.MV, stream="edb-adc")
-        circuit = ChargeDischargeCircuit(sim, power, adc)
+        sim, power, circuit = self._harvested(2.4)
         t0 = sim.now
-        with pytest.raises(TimeoutError, match="holds it above") as info:
+        with pytest.raises(TimeoutError, match="cannot get below 1.709 V"):
             circuit.discharge_to(1.2)
-        assert sim.now - t0 < 0.2
-        floor = float(str(info.value).split("above ")[1].split(" V")[0])
-        assert 1.2 < floor <= power.vcap
+        assert sim.now == t0 and power.vcap == 2.4
+
+    def test_discharge_within_noise_of_the_settling_level_runs(self):
+        """A target 1 mV under the level is still read as reached.
+
+        Vcap never goes below the level, but ADC noise reads it below
+        the target sooner or later; the loop must get that chance.
+        """
+        _, power, circuit = self._harvested(2.4)
+        level, _ = power.settling_level(
+            circuit.control_period, 1.0 / circuit.fine_discharge_resistance
+        )
+        circuit.discharge_to(level - 1 * units.MV)
+        assert power.vcap > level - 1 * units.MV
+
+    def test_fading_discharge_waits_out_a_strong_draw(self):
+        """Under fading no level holds to the deadline: the loop waits.
+
+        Without fading the fine load settles above 1.7 V at 1 m; here a
+        strong 4 dB draw holds Vcap up for tens of milliseconds before
+        weaker ones let the load reach the target, 72 ms in.
+        """
+        sim, power, circuit = self._harvested(3.1, seed=1, fading_sigma=4.0)
+        circuit.discharge_to(1.7)
+        assert power.vcap <= 1.7
+        assert 0.05 < sim.now < 0.1
 
     def test_bad_targets_rejected(self):
         _, _, circuit = self._circuit()

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analog.charge_circuit import _STALL_PERIODS, ChargeDischargeCircuit
+from repro.analog.charge_circuit import ChargeDischargeCircuit
 from repro.core.board import EDBBoard
 from repro.mcu.device import TargetDevice
 from repro.power.capacitor import StorageCapacitor
@@ -81,9 +81,16 @@ def _ref_discharge_to(circuit, v_target, timeout=1.0):
         raise ValueError(f"target voltage must be non-negative (got {v_target})")
     power = circuit.power
     deadline = circuit.sim.now + timeout
-    floor = math.inf  # the fine load's lowest voltage so far
-    stalled_at = deadline
+    # The fine load's settling level when it keeps the target out of
+    # reach: the first tick then fails.
+    settled = circuit._out_of_reach(v_target, deadline)
     while (measured := _ref_measure(circuit.adc, power.vcap)) > v_target:
+        if settled is not None:
+            raise TimeoutError(
+                f"discharge_to({v_target:.3f}) cannot get below "
+                f"{settled:.3f} V: the fine load settles there "
+                f"against the harvester"
+            )
         if circuit.sim.now >= deadline:
             raise TimeoutError(
                 f"discharge_to({v_target:.3f}) stuck at {power.vcap:.3f} V"
@@ -96,16 +103,6 @@ def _ref_discharge_to(circuit, v_target, timeout=1.0):
             current = coarse_current
         else:
             current = power.vcap / circuit.fine_discharge_resistance
-            if power.vcap < floor:
-                floor = power.vcap
-                stalled_at = circuit.sim.now + (
-                    _STALL_PERIODS * circuit.control_period
-                )
-            elif circuit.sim.now >= stalled_at:
-                raise TimeoutError(
-                    f"discharge_to({v_target:.3f}) stuck at {power.vcap:.3f} V: "
-                    f"the harvester holds it above {floor:.3f} V"
-                )
         power.capacitor.apply_current(-current, circuit.control_period)
         _ref_tick(circuit)
     circuit.discharge_operations += 1

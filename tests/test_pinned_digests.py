@@ -286,8 +286,8 @@ FADING_SCRIPT = [
 ]
 
 #: Console-style energy manipulation through the wire, untraced; the
-#: discharge to 1.2 V cannot out-pull the harvester and ends in the stall
-#: error.
+#: discharge to 1.2 V is below where the fine load settles against the
+#: harvester and fails at its first tick.
 ENERGY_SCRIPT = [
     ("session.create", {"app": "fibonacci", "seed": 31337,
                         "iterations": 64}),
@@ -348,7 +348,7 @@ TRANSCRIPTS = {
     ),
     "energy_manipulation": (
         ENERGY_SCRIPT,
-        "ad1d1b3acdab0e07543db55e39afbcb01686413402b21c642f00fd8cb47e7431",
+        "ff6dc340cb02b54a163b9c461490573d3d1700c31cb2932062b26657e3576779",
     ),
     "emulate": (
         EMULATE_SCRIPT,

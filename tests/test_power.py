@@ -403,6 +403,36 @@ class TestPowerSystem:
         power.step(0.0)
         assert states == [PowerState.OFF]
 
+    @pytest.mark.parametrize("distance", [0.8, 1.0, 1.6])
+    def test_settling_level_is_where_drain_ticks_settle(self, sim, distance):
+        """The closed form agrees with 4 s of stepped drain ticks."""
+        power = make_wisp_power_system(sim, distance_m=distance,
+                                       initial_voltage=2.4)
+        power.capacitor.leakage_resistance = 2e5
+        power.inject_current(2e-5)
+        dt, conductance = 100 * units.US, 1.0 / 1500.0
+        level, bound = power.settling_level(dt, conductance)
+        assert bound == math.inf
+        for _ in range(40_000):
+            power.capacitor.apply_current(-(power.vcap * conductance), dt)
+            sim.advance(dt)
+            power.step(dt, 0.0)
+        assert power.vcap == pytest.approx(level, abs=1e-9)
+
+    def test_settling_level_needs_a_charging_held_source(self, sim):
+        power = make_wisp_power_system(sim, initial_voltage=2.4)
+        dt = 100 * units.US
+        power.source.enabled = False
+        assert power.settling_level(dt, 1.0 / 1500.0) is None
+        power.source.enabled = True
+        power.inject_current(3e-3)  # settles past Voc: the rectifier blocks
+        assert power.settling_level(dt, 1.0 / 1500.0) is None
+        fading = make_wisp_power_system(sim, initial_voltage=2.4,
+                                        fading_sigma=3.0)
+        fading.source.harvested_power(sim.now)
+        level, bound = fading.settling_level(dt, 1.0 / 1500.0)
+        assert bound == sim.now + 10 * units.MS
+
 
 class TestSawtooth:
     """The Figure 2B shape: charge to turn-on, discharge to brown-out."""
