@@ -211,8 +211,12 @@ class ChargeDischargeCircuit:
         is never read as reached; the band must clear twice that margin
         for the coarse stage's last period too.  Returns the level, or
         ``None`` when the loop must run as usual: fading, duty edges or
-        a trace sample before the deadline, a source the fine load
-        out-pulls, or a target within the margin.
+        a trace sample before the deadline, a one-shot event due before
+        it, a source the fine load out-pulls, or a target within the
+        margin.  Environment changes (movement profiles, reader duty
+        cycles) arrive as one-shot events; the periodic ones are the
+        instruments and the harness leakage update, which leave the
+        source alone.
         """
         settled = self.power.settling_level(
             self.control_period, 1.0 / self.fine_discharge_resistance
@@ -227,6 +231,13 @@ class ChargeDischargeCircuit:
             or not self.coarse_band > 2.0 * margin
         ):
             return None
+        for event in self.sim._queue:
+            if (
+                event.time < deadline
+                and event.period is None
+                and not (event.cancelled or event.host)
+            ):
+                return None
         return level
 
     # -- public control loops ------------------------------------------------

@@ -244,6 +244,17 @@ class TestChargeDischargeCircuit:
         circuit.discharge_to(level - 1 * units.MV)
         assert power.vcap > level - 1 * units.MV
 
+    def test_discharge_waits_for_a_scheduled_field_change(self):
+        """A one-shot event due inside the timeout may free the target.
+
+        The reader's field goes dark 10 ms in; the loop must still be
+        ticking then, and reaches 1.2 V soon after.
+        """
+        sim, power, circuit = self._harvested(3.0, seed=5)
+        sim.call_after(0.010, lambda: setattr(power.source, "enabled", False))
+        circuit.discharge_to(1.2)
+        assert power.vcap <= 1.2 and sim.now > 0.010
+
     def test_fading_discharge_waits_out_a_strong_draw(self):
         """Under fading no level holds to the deadline: the loop waits.
 
