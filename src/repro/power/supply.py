@@ -363,9 +363,13 @@ class PowerSystem:
         monotonically.  ``None`` when there is no such level: an
         unknown source model, conditions about to change, a source that
         charges nothing, or a level outside the rectifier's charging
-        branch or the capacitor's range.
+        branch or the capacitor's range.  The window it builds is the one
+        ``idle_step(dt)`` would build now, and is kept as its memo, so a
+        control loop's first tick does not build it again.
         """
-        window = self._build_idle_window(dt, self._active_source())
+        window = self._idle_window = self._build_idle_window(
+            dt, self._active_source()
+        )
         if window is None:
             return None
         capacitor = self.capacitor
