@@ -86,8 +86,10 @@ class PassiveMonitor:
             return
         self.enabled.add(stream)
         if stream == "energy" and self._energy_event is None:
+            # Passive: a sample reads Vcap/Vreg through EDB's ADC and
+            # records it; the listeners only log and arm device watches.
             self._energy_event = self.sim.call_every(
-                1.0 / self.sample_rate, self._sample_energy
+                1.0 / self.sample_rate, self._sample_energy, passive=True
             )
 
     def disable(self, stream: str) -> None:

@@ -289,7 +289,8 @@ def serve_tcp(
             service.close_all()
 
 
-def main(argv: list[str] | None = None) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.debug.server`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.debug.server",
         description=(
@@ -333,6 +334,11 @@ def main(argv: list[str] | None = None) -> None:
         metavar="SECONDS",
         help="reap sessions unused for this long (default: never)",
     )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.max_request_bytes < 2:
         parser.error("--max-request-bytes must be >= 2")

@@ -77,15 +77,26 @@ class _SpendWindow:
     ``bound``.  ``segments`` memoizes the per-``cycles`` step constants
     ``(dt, exp_charge, leak_factor)`` — computed with exactly the
     expressions ``charge_step`` and ``step_leakage`` use, so replaying
-    them is bit-identical to the slow path.
+    them is bit-identical to the slow path.  ``extra`` memoizes
+    ``(net, v_inf)`` per nonzero ``extra_current`` (bus transfers) for
+    the current GPIO load.
     """
 
     __slots__ = (
         "epoch", "fired", "gpio_load", "source", "src_has_enabled",
         "src_has_distance", "src_enabled", "src_distance", "voc", "rs",
         "net", "v_inf", "tau", "cap", "vmax", "floor", "bound",
-        "leak_tau", "segments",
+        "leak_tau", "segments", "extra",
     )
+
+
+#: Why a spend left the fast path, the keys of
+#: :attr:`TargetDevice.slow_spends`: a non-passive event due inside the
+#: step (or one a passive tick left behind), no window (none built, none
+#: buildable, or a zero-cycle spend), the stepped Vcap below the floor
+#: (brown-out threshold or Vcap watch level), the step reaching the
+#: source's hold bound, the executor deadline reached.
+SLOW_SPEND_CAUSES = ("event", "no_window", "floor", "bound", "deadline")
 
 
 #: An unarmed unit or cycle deadline: an int beyond any reachable count.
@@ -196,6 +207,10 @@ class TargetDevice:
         # cache and spend batching are disabled via REPRO_NO_BLOCKCACHE.
         self._fast_spend_enabled = not _blockcache_disabled()
         self._spend_window: _SpendWindow | None = None
+        # Fast-path refusals by cause (SLOW_SPEND_CAUSES).  Execution
+        # only: snapshots neither capture nor restore it, and no report
+        # or transcript shows it.
+        self.slow_spends = dict.fromkeys(SLOW_SPEND_CAUSES, 0)
         self.cpu.block_cache_enabled = self._fast_spend_enabled
         self.cpu.block_guard = self.block_guard
         # REPRO_FORCE_DEOPT=1 pins this True: every block guard refuses
@@ -259,126 +274,177 @@ class TargetDevice:
         per-step arithmetic (same expressions, same operand order, same
         clamping — the discipline ``_charge_fast_forward`` established)
         from memoized constants, valid only inside a window where
-        nothing can observe or perturb the trajectory: no scheduled
+        nothing can perturb the trajectory: no non-passive scheduled
         event due, no source condition change (``hold_until``), no
         comparator transition and no Vcap watch reached (the committed
-        voltage stays at or above ``floor``).  Anything else falls
-        through to the historical one-call-at-a-time path, which also
-        (re)builds the window.
+        voltage stays at or above ``floor``).  Passive events due inside
+        the step (the energy sampler) fire at their own instants before
+        the commit, seeing the pre-step Vcap as the slow path's sweep
+        would.  Anything else falls through to the historical
+        one-call-at-a-time path, which also (re)builds the window; each
+        fall-through is counted in :attr:`slow_spends` by cause.
         """
         fw = self._spend_window
-        if fw is not None and extra_current == 0.0 and cycles > 0:
-            power = self.power
-            sim = self.sim
-            source = fw.source
-            if not (
-                fw.epoch == power._env_epoch
-                and fw.fired == sim._fired
-                # Presence flags captured at build time: the harvester
-                # classes declare enabled/distance_m in __init__, so
-                # attribute *presence* is a property of the source's
-                # type, not of runtime state — direct loads beat the
-                # defaulted getattr probes measurably here.
-                and (
-                    not fw.src_has_enabled
-                    or source.enabled == fw.src_enabled
+        if fw is None or cycles <= 0:
+            return self._slow_spend("no_window", cycles, extra_current)
+        power = self.power
+        sim = self.sim
+        source = fw.source
+        if not (
+            fw.epoch == power._env_epoch
+            and fw.fired == sim._fired
+            # Presence flags captured at build time: the harvester
+            # classes declare enabled/distance_m in __init__, so
+            # attribute *presence* is a property of the source's type,
+            # not of runtime state — direct loads beat the defaulted
+            # getattr probes measurably here.
+            and (not fw.src_has_enabled or source.enabled == fw.src_enabled)
+            and (
+                not fw.src_has_distance
+                or source.distance_m == fw.src_distance
+            )
+        ):
+            # The cached constants went stale (an env bump, a fired
+            # event): rebuild instead of paying a full slow step.  The
+            # fast path only ever replays the *current* constants, so
+            # committing from a just-rebuilt window is bit-identical to
+            # the slow step that would otherwise have rebuilt it
+            # afterwards.
+            fw = self._build_spend_window()
+            self._spend_window = fw
+            if fw is None:
+                return self._slow_spend("no_window", cycles, extra_current)
+        elif fw.gpio_load != self.gpio._load_current_cache:
+            # A GPIO edge invalidated the load cache (an edge sets it to
+            # None).  Recompute: most heartbeat pins carry no load, so
+            # the sum usually comes back unchanged; when it did change,
+            # only the net-load constants shift — everything probed
+            # from the supply (voc/rs, constant until ``bound`` by the
+            # hold-window contract, and nothing commits past ``bound``;
+            # floor; the tau-derived exponentials in ``segments``) is
+            # still exact.
+            gpio_load = self.gpio.total_load_current()
+            if gpio_load != fw.gpio_load:
+                net = (
+                    power.regulator.input_current(
+                        1.0, self._static_current + gpio_load
+                    )
+                    - power._injected_current
                 )
-                and (
-                    not fw.src_has_distance
-                    or source.distance_m == fw.src_distance
-                )
+                fw.gpio_load = gpio_load
+                fw.net = net
+                fw.v_inf = fw.voc - net * fw.rs
+                fw.extra.clear()
+        stop = self._stop_after
+        if stop is not None and sim._now >= stop:
+            return self._slow_spend("deadline", cycles, extra_current)
+        try:
+            dt, exp_charge, leak_factor = fw.segments[cycles]
+        except KeyError:
+            dt = cycles * self._cycle_time
+            seg = (
+                dt,
+                math.exp(-dt / fw.tau),
+                math.exp(-dt / fw.leak_tau)
+                if fw.leak_tau is not None
+                else None,
+            )
+            if len(fw.segments) >= 256:
+                fw.segments.clear()
+            fw.segments[cycles] = seg
+            dt, exp_charge, leak_factor = seg
+        t1 = sim._now + dt
+        if not t1 < fw.bound:
+            return self._slow_spend("bound", cycles, extra_current)
+        queue = sim._queue
+        due = queue and queue[0].time <= t1
+        if due and not queue[0].passive:
+            return self._slow_spend("event", cycles, extra_current)
+        capacitor = power.capacitor
+        v = capacitor._voltage
+        if not v > 0.0:
+            return self._slow_spend("floor", cycles, extra_current)
+        if extra_current == 0.0:
+            if fw.voc > v:
+                new_v = fw.v_inf + (v - fw.v_inf) * exp_charge
+            else:
+                new_v = v - fw.net * dt / fw.cap
+        else:
+            net, v_inf = self._extra_constants(fw, extra_current)
+            if fw.voc > v:
+                new_v = v_inf + (v - v_inf) * exp_charge
+            else:
+                new_v = v - net * dt / fw.cap
+        # Branch-chain clamp: bit-identical to min(max(new_v, 0.0),
+        # vmax) including the NaN- and signed-zero-propagation corners.
+        if new_v < 0.0:
+            v1 = 0.0
+        elif new_v > fw.vmax:
+            v1 = fw.vmax
+        else:
+            v1 = new_v
+        if leak_factor is not None and v1 > 0.0:
+            v1 = v1 * leak_factor
+            if v1 < 0.0:
+                v1 = 0.0
+            elif v1 > fw.vmax:
+                v1 = fw.vmax
+        if not v1 >= fw.floor:
+            return self._slow_spend("floor", cycles, extra_current)
+        if due:
+            # The slow path's order: callbacks at their own instants
+            # with the pre-step Vcap, then the step.  Whatever they left
+            # behind must still match the replayed constants; if not,
+            # the slow path sweeps what remains and steps afresh.
+            sim._sweep_passive(t1)
+            queue = sim._queue
+            if (
+                (queue and queue[0].time <= t1)
+                or self._spend_window is not fw
+                or capacitor._voltage != v
+                or not self._spend_window_live(fw)
             ):
-                # The cached constants went stale (an env bump, a fired
-                # event): rebuild instead of paying a full slow step.
-                # The fast path only ever replays the *current*
-                # constants, so committing from a just-rebuilt window is
-                # bit-identical to the slow step that would otherwise
-                # have rebuilt it afterwards.
-                fw = self._build_spend_window()
-                self._spend_window = fw
-            elif fw.gpio_load != self.gpio._load_current_cache:
-                # A GPIO edge invalidated the load cache (an edge sets
-                # it to None).  Recompute: most heartbeat pins carry no
-                # load, so the sum usually comes back unchanged; when it
-                # did change, only the net-load constants shift —
-                # everything probed from the supply (voc/rs, constant
-                # until ``bound`` by the hold-window contract, and
-                # nothing commits past ``bound``; floor; the tau-derived
-                # exponentials in ``segments``) is still exact.
-                gpio_load = self.gpio.total_load_current()
-                if gpio_load != fw.gpio_load:
-                    current = self._static_current + gpio_load
-                    net = (
-                        power.regulator.input_current(1.0, current)
-                        - power._injected_current
-                    )
-                    fw.gpio_load = gpio_load
-                    fw.net = net
-                    fw.v_inf = fw.voc - net * fw.rs
-            if fw is not None:
-                stop = self._stop_after
-                if stop is not None and sim._now >= stop:
-                    raise ExecutionLimit(f"deadline {stop:.6f} s reached")
-                try:
-                    dt, exp_charge, leak_factor = fw.segments[cycles]
-                except KeyError:
-                    dt = cycles * self._cycle_time
-                    seg = (
-                        dt,
-                        math.exp(-dt / fw.tau),
-                        math.exp(-dt / fw.leak_tau)
-                        if fw.leak_tau is not None
-                        else None,
-                    )
-                    if len(fw.segments) >= 256:
-                        fw.segments.clear()
-                    fw.segments[cycles] = seg
-                    dt, exp_charge, leak_factor = seg
-                t1 = sim._now + dt
-                if t1 < fw.bound:
-                    queue = sim._queue
-                    if not queue or queue[0].time > t1:
-                        capacitor = power.capacitor
-                        v = capacitor._voltage
-                        if v > 0.0:
-                            if fw.voc > v:
-                                new_v = fw.v_inf + (v - fw.v_inf) * exp_charge
-                            else:
-                                new_v = v - fw.net * dt / fw.cap
-                            # Branch-chain clamp: bit-identical to
-                            # min(max(new_v, 0.0), vmax) including the
-                            # NaN- and signed-zero-propagation corners.
-                            if new_v < 0.0:
-                                v1 = 0.0
-                            elif new_v > fw.vmax:
-                                v1 = fw.vmax
-                            else:
-                                v1 = new_v
-                            if leak_factor is not None and v1 > 0.0:
-                                v1 = v1 * leak_factor
-                                if v1 < 0.0:
-                                    v1 = 0.0
-                                elif v1 > fw.vmax:
-                                    v1 = fw.vmax
-                            if v1 >= fw.floor:
-                                sim._now = t1
-                                capacitor._voltage = v1
-                                self.cycles_executed += cycles
-                                drained = (
-                                    0.5 * fw.cap * v * v
-                                    - 0.5 * fw.cap * v1 * v1
-                                )
-                                if drained > 0.0:
-                                    self.energy_consumed += drained
-                                units = self.work_units + 1
-                                self.work_units = units
-                                if (
-                                    units >= self._unit_deadline
-                                    or self.cycles_executed
-                                    >= self._cycle_deadline
-                                ):
-                                    self._fire_watches()
-                                return
+                return self._slow_spend("event", cycles, extra_current)
+        sim._now = t1
+        capacitor._voltage = v1
+        self.cycles_executed += cycles
+        drained = 0.5 * fw.cap * v * v - 0.5 * fw.cap * v1 * v1
+        if drained > 0.0:
+            self.energy_consumed += drained
+        units = self.work_units + 1
+        self.work_units = units
+        if (
+            units >= self._unit_deadline
+            or self.cycles_executed >= self._cycle_deadline
+        ):
+            self._fire_watches()
+
+    def _extra_constants(
+        self, fw: _SpendWindow, extra_current: float
+    ) -> tuple[float, float]:
+        """``(net, v_inf)`` of a spend drawing ``extra_current`` on top."""
+        try:
+            return fw.extra[extra_current]
+        except KeyError:
+            pass
+        # The slow path's load, ((static + gpio) + extra), fed to the
+        # regulator at a live rail.
+        power = self.power
+        net = (
+            power.regulator.input_current(
+                1.0, self._static_current + fw.gpio_load + extra_current
+            )
+            - power._injected_current
+        )
+        constants = (net, fw.voc - net * fw.rs)
+        if len(fw.extra) >= 16:
+            fw.extra.clear()
+        fw.extra[extra_current] = constants
+        return constants
+
+    def _slow_spend(self, cause: str, cycles: int, extra_current: float) -> None:
+        """Count a fast-path refusal under ``cause``, then spend slowly."""
+        self.slow_spends[cause] += 1
         self._execute_cycles_slow(cycles, extra_current)
 
     def _execute_cycles_slow(self, cycles: int, extra_current: float) -> None:
@@ -459,10 +525,11 @@ class TargetDevice:
             # reaches the level always takes the slow path.
             floor = math.nextafter(self._vcap_level, math.inf)
         gpio_load = self.gpio.total_load_current()
-        # The slow path computes ((static + gpio) + extra); the fast
-        # path only engages for extra == 0.0, and x + 0.0 == x bitwise
-        # for the positive current sums involved — so this is the same
-        # float the slow path feeds the regulator.
+        # The slow path computes ((static + gpio) + extra); for
+        # extra == 0.0, x + 0.0 == x bitwise for the positive current
+        # sums involved — so this is the same float the slow path feeds
+        # the regulator.  Nonzero extras get their own constants
+        # (``extra``), from the full expression.
         current = self._static_current + gpio_load
         # input_current is voltage-independent above cut-off; probe it
         # with a nominal live rail (the fast path separately requires
@@ -497,6 +564,7 @@ class TargetDevice:
         leak_r = capacitor.leakage_resistance
         fw.leak_tau = leak_r * cap if leak_r is not None else None
         fw.segments = {}
+        fw.extra = {}
         return fw
 
     # -- watches ---------------------------------------------------------------
@@ -557,7 +625,10 @@ class TargetDevice:
         stepping when this returns ``False``: near brown-out (the
         capacitor is within the block's worst-case droop of the
         threshold), when a scheduled event falls inside the block's
-        cycle span, or when no steady window exists at all.  Correctness
+        cycle span, or when no steady window exists at all.  A passive
+        event at the head of the queue does not deoptimize: it only
+        reads and records, and the spend of the thunk it falls in fires
+        it at the same instant single-stepping would.  Correctness
         never depends on this guard: every thunk still pays its spend
         through :meth:`execute_cycles`, which re-checks everything —
         the guard only keeps deoptimization at observation points
@@ -574,7 +645,7 @@ class TargetDevice:
         if not t1 < fw.bound:
             return False
         queue = sim._queue
-        if queue and queue[0].time <= t1:
+        if queue and queue[0].time <= t1 and not queue[0].passive:
             return False
         if self._stop_after is not None and t1 >= self._stop_after:
             return False

@@ -49,6 +49,7 @@ class Event:
     period: float | None = field(compare=False, default=None)
     cancelled: bool = field(compare=False, default=False)
     host: bool = field(compare=False, default=False)
+    passive: bool = field(compare=False, default=False)
 
     def cancel(self) -> None:
         """Prevent the event (and its periodic reschedules) from firing."""
@@ -78,13 +79,13 @@ class Simulator:
         # of the deterministic event ordering, so snapshots must be able
         # to capture and restore it exactly.
         self._seq = 0
-        # Monotonic count of events actually fired (cancelled pops are
-        # not counted).  Consumers that cache state derived from "no
-        # event has run since I looked" — the device's fast-spend
-        # window — compare this counter instead of subscribing to every
-        # callback.  Deliberately not captured by snapshots: it only
-        # ever invalidates caches, and a restore invalidates them
-        # explicitly anyway.
+        # Monotonic count of events actually fired (cancelled pops and
+        # passive events are not counted).  Consumers that cache state
+        # derived from "no event has run since I looked" — the device's
+        # fast-spend window — compare this counter instead of
+        # subscribing to every callback.  Deliberately not captured by
+        # snapshots: it only ever invalidates caches, and a restore
+        # invalidates them explicitly anyway.
         self._fired = 0
         self.trace = TraceRecorder(clock=lambda: self._now)
         self.rng = RngHub(seed)
@@ -145,12 +146,39 @@ class Simulator:
                 continue
             # Fire the event at its own deadline, not at the sweep end.
             self._now = max(self._now, event.time)
-            self._fired += 1
+            if not event.passive:
+                self._fired += 1
             event.callback()
             if event.period is not None and not event.cancelled:
                 event.time = event.time + event.period
                 heapq.heappush(self._queue, event)
         self._now = deadline
+
+    def _sweep_passive(self, deadline: float) -> None:
+        """Fire the passive events due by ``deadline``, then rewind the clock.
+
+        Pops exactly what :meth:`_sweep_to` would, in the same order and
+        at the same instants, but stops at the first live non-passive
+        event and puts ``_now`` back where it was.  The device's fast
+        spend path uses it to fire a passive sampler tick inside a
+        step whose supply arithmetic it replays itself.
+        """
+        queue = self._queue
+        now = self._now
+        while queue and queue[0].time <= deadline:
+            event = queue[0]
+            if event.cancelled:
+                heapq.heappop(queue)
+                continue
+            if not event.passive:
+                break
+            heapq.heappop(queue)
+            self._now = max(self._now, event.time)
+            event.callback()
+            if event.period is not None and not event.cancelled:
+                event.time = event.time + event.period
+                heapq.heappush(queue, event)
+        self._now = now
 
     def run_until(self, t: float) -> None:
         """Advance the clock to absolute time ``t`` (no-op if in the past).
@@ -239,6 +267,7 @@ class Simulator:
         start: float | None = None,
         *,
         host: bool = False,
+        passive: bool = False,
     ) -> Event:
         """Schedule ``callback`` to fire every ``period`` seconds.
 
@@ -248,6 +277,17 @@ class Simulator:
         :class:`Event`; call its ``cancel()`` to stop the recurrence.
         ``host=True`` marks the recurrence as host-side state that
         snapshots must ignore (see :meth:`call_at`).
+
+        ``passive=True`` promises that the callback only reads the
+        simulated world and records what it saw (an RNG draw for
+        measurement noise counts as reading): it never changes the
+        supply, source, load, comparator or capacitor, and never
+        schedules an event.  Passive firings do not count as fired
+        events (cached supply constants stay valid across them), and
+        the device's fast spend path fires them inside the step instead
+        of leaving its replay window.  A callback that may disturb the
+        world in any way — drawing fading, injecting current — must not
+        be marked.
         """
         if not 0.0 < period < math.inf:  # also rejects NaN
             raise ValueError(f"period must be positive and finite (got {period})")
@@ -260,7 +300,8 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(
-            time=first, seq=seq, callback=callback, period=period, host=host
+            time=first, seq=seq, callback=callback, period=period, host=host,
+            passive=passive,
         )
         heapq.heappush(self._queue, event)
         return event
@@ -284,7 +325,7 @@ class Simulator:
         host-side events are excluded — see :meth:`call_at`.
         """
         return [
-            (e.time, e.seq, e.callback, e.period)
+            (e.time, e.seq, e.callback, e.period, e.passive)
             for e in sorted(self._queue)
             if not (e.cancelled or e.host)
         ]
@@ -299,8 +340,8 @@ class Simulator:
         method only rebuilds the heap.
         """
         queue = [
-            Event(time=t, seq=seq, callback=cb, period=period)
-            for (t, seq, cb, period) in exported
+            Event(time=t, seq=seq, callback=cb, period=period, passive=passive)
+            for (t, seq, cb, period, passive) in exported
         ]
         queue.extend(e for e in self._queue if e.host and not e.cancelled)
         heapq.heapify(queue)

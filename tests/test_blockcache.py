@@ -34,6 +34,7 @@ from repro import (
     make_wisp_power_system,
 )
 from repro.apps.isa_app import IsaApp
+from repro.core.debugger import EDB
 from repro.campaign import forking
 from repro.campaign.config import CampaignConfig
 from repro.campaign.faults import ScheduledBrownouts
@@ -456,6 +457,56 @@ def test_forced_deopt_differential():
     # is not vacuous.
     if _BLOCKS_ENGAGE:
         assert normal[1].cpu.blocks_executed > 0
+
+
+def test_sampler_ticks_run_inside_blocks_differential():
+    """EDB's passive sampler neither deoptimizes blocks nor moves a bit.
+
+    An attached board samples Vcap at 4 kHz and services an energy
+    breakpoint.  Each tick is a passive event: the spend of the thunk
+    it falls in fires it at the instant single-stepping would, so the
+    block guard admits blocks across ticks and the monitor's events,
+    the breakpoint stops and every RNG stream still match the
+    single-stepped run.
+    """
+    source = _random_branchy(random.Random(21), iterations=40000)
+
+    def run(mode):
+        sim = Simulator(seed=88)
+        power = make_wisp_power_system(sim, distance_m=1.6, fading_sigma=1.0)
+        device = TargetDevice(sim, power)
+        device.cpu.block_cache_enabled = mode == "block"
+        edb = EDB(sim, device)
+        edb.trace("energy")
+        stops = []
+        edb.board.on_break = lambda event, session: stops.append(
+            (event.reason, event.time, event.vcap)
+        )
+        edb.break_on_energy(2.2)
+        executor = IntermittentExecutor(
+            sim, device, IsaApp(device, assemble(source))
+        )
+        result = executor.run(duration=0.6, stop_on_fault=True)
+        seen = _observable_state(result, device, sim)
+        seen["events"] = list(edb.monitor.events)
+        seen["stops"] = stops
+        seen["streams"] = {
+            name: stream.getstate()
+            for name, stream in sorted(sim.rng._streams.items())
+        }
+        return seen, device
+
+    block, device = run("block")
+    step, _ = run("step")
+    assert block == step
+    ticks = len(block["events"])
+    assert ticks > 1000 and block["stops"]
+    if _BLOCKS_ENGAGE:
+        cpu = device.cpu
+        assert cpu.blocks_executed > 0
+        # A tick inside a block's span used to refuse it; now only the
+        # harness leakage updates and brown-out margins do.
+        assert cpu.blocks_deopts < ticks // 4
 
 
 def test_force_deopt_env(monkeypatch):

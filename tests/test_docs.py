@@ -1,0 +1,138 @@
+"""The documented commands still parse.
+
+Every fenced ``sh`` block in README.md, EXPERIMENTS.md, DESIGN.md and
+``docs/*.md`` is read line by line.  A ``python -m repro...`` line must
+parse through that CLI's own argument parser (nothing runs), and a
+``pytest`` line must name test paths that exist and markers that
+``pyproject.toml`` registers.  Other commands (``pip``, ``cat``) are
+not checked.
+"""
+
+from __future__ import annotations
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from repro.campaign import cli as campaign_cli
+from repro.debug import server as debug_server
+from repro.perf import __main__ as perf_cli
+
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = [ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "DESIGN.md",
+        *sorted((ROOT / "docs").glob("*.md"))]
+
+#: ``python -m`` module -> its argument parser factory.
+PARSERS = {
+    "repro.campaign": campaign_cli.build_parser,
+    "repro.debug.server": debug_server.build_parser,
+    "repro.perf": perf_cli.build_parser,
+}
+
+#: pytest options the docs use that take a value (not a path).
+_VALUED = {"-m", "-k", "-p"}
+
+_FENCE = re.compile(r"^```sh\n(.*?)^```", re.S | re.M)
+_ENV = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=\S*$")
+
+
+def _commands(text: str) -> list[str]:
+    """The commands of every ``sh`` block: comments dropped, ``\\`` joined."""
+    commands = []
+    for block in _FENCE.findall(text):
+        pending = ""
+        for line in block.splitlines():
+            line = line.split(" #", 1)[0].rstrip()
+            if line.startswith("#"):
+                continue
+            if line.endswith("\\"):
+                pending += line[:-1] + " "
+                continue
+            line = (pending + line).strip()
+            pending = ""
+            if line:
+                commands.append(line)
+    return commands
+
+
+def _argvs(path: Path) -> list[list[str]]:
+    """Each documented command of ``path`` as an argv, env prefix dropped."""
+    found = []
+    for command in _commands(path.read_text()):
+        argv = shlex.split(command)
+        while argv and _ENV.match(argv[0]):
+            argv.pop(0)  # PYTHONPATH=src and friends
+        found.append(argv)
+    return found
+
+
+def _markers(pytestconfig) -> set[str]:
+    """The markers the pytest configuration registers."""
+    return {
+        entry.split(":", 1)[0].strip()
+        for entry in pytestconfig.getini("markers")
+    }
+
+
+def _check_pytest(args: list[str], markers: set[str]) -> None:
+    position = 0
+    while position < len(args):
+        arg = args[position]
+        position += 1
+        if arg in _VALUED:
+            value = args[position]
+            position += 1
+            if arg == "-m":
+                names = set(re.findall(r"[A-Za-z_]\w*", value))
+                unknown = names - {"and", "or", "not"} - markers
+                assert not unknown, f"unregistered markers {sorted(unknown)}"
+        elif not arg.startswith("-"):
+            path = ROOT / arg.split("::", 1)[0]
+            assert path.exists(), f"no such test path {arg!r}"
+
+
+def _check(argv: list[str], markers: set[str]) -> None:
+    """Check one command; commands other than these two kinds pass."""
+    if argv[:1] == ["pytest"]:
+        _check_pytest(argv[1:], markers)
+    elif argv[:3] == ["python", "-m", "pytest"]:
+        _check_pytest(argv[3:], markers)
+    elif argv[:2] == ["python", "-m"] and argv[2].startswith("repro."):
+        module = argv[2]
+        assert module in PARSERS, f"no parser known for {module}"
+        try:
+            PARSERS[module]().parse_args(argv[3:])
+        except SystemExit as exc:
+            pytest.fail(f"{module} rejects {argv[3:]} (exit {exc.code})")
+
+
+@pytest.mark.parametrize("path", DOCS, ids=lambda path: path.name)
+def test_documented_commands_parse(path, pytestconfig):
+    markers = _markers(pytestconfig)
+    for argv in _argvs(path):
+        _check(argv, markers)
+
+
+def test_docs_document_checkable_commands():
+    """The scan is not vacuous: it finds each kind of command."""
+    checked = [argv for path in DOCS for argv in _argvs(path)
+               if argv[:1] == ["pytest"] or argv[:2] == ["python", "-m"]]
+    modules = {argv[2] for argv in checked if argv[0] == "python"}
+    assert {"repro.campaign", "repro.debug.server", "repro.perf"} <= modules
+    assert any(argv[0] == "pytest" and "-m" in argv for argv in checked)
+
+
+def test_a_broken_command_is_caught(pytestconfig):
+    """The checks reject what a stale doc line would say."""
+    markers = _markers(pytestconfig)
+    assert "blockcache" in markers
+    with pytest.raises(pytest.fail.Exception):
+        _check(["python", "-m", "repro.campaign", "--benchmark-only"], markers)
+    with pytest.raises(AssertionError):
+        _check(["pytest", "-m", "blockcache and no_such_marker"], markers)
+    with pytest.raises(AssertionError):
+        _check(["pytest", "tests/no_such_file.py"], markers)
+    with pytest.raises(AssertionError):
+        _check(["python", "-m", "repro.nowhere"], markers)

@@ -1,6 +1,6 @@
 """Regression tests for the hot-path caches and energy-accounting fixes.
 
-Covers the PR's two halves:
+Covers two halves:
 
 - bugfixes: stack traffic charging region cycles, sleep energy landing
   in ``energy_consumed`` (and counting as a watched work unit), code-marker
@@ -8,23 +8,31 @@ Covers the PR's two halves:
   past starts;
 - optimisations staying invisible: decode-cache invalidation on code
   stores, region-lookup fault semantics, batched charging reproducing
-  the stepped trajectory bit for bit, and the fixed-seed campaign
-  report matching its committed golden byte for byte.
+  the stepped trajectory bit for bit, debugger traffic (passive sampler
+  ticks, UART/I2C transfers) spent on the fast path exactly as the
+  reference path spends it, and the fixed-seed campaign report matching
+  its committed golden byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.config import CampaignConfig
 from repro.campaign.report import render_json
 from repro.campaign.scheduler import run_campaign
+from repro.core.debugger import EDB
+from repro.debug.server import handle_line
+from repro.debug.service import DebugService
 from repro.mcu.assembler import assemble
 from repro.mcu.cpu import Cpu, Halted
-from repro.mcu.device import PowerFailure, TargetDevice
+from repro.mcu.device import ExecutionLimit, PowerFailure, TargetDevice
 from repro.mcu.memory import (
     FRAM_BASE,
     MemoryFault,
@@ -281,6 +289,223 @@ class TestBatchedCharging:
         periods = fast[0] / period
         assert periods > 3  # the charge spans several dark phases
         assert fast_steps <= 8 * (periods + 1)
+
+
+class _Registers:
+    """A bare I2C register file."""
+
+    def __init__(self) -> None:
+        self.values: dict[int, int] = {}
+
+    def read_register(self, register: int) -> int:
+        return self.values.get(register, 0)
+
+    def write_register(self, register: int, value: int) -> None:
+        self.values[register] = value
+
+
+@st.composite
+def _debugger_traffic(draw):
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ("cycles", "cycles", "cycles", "uart", "i2c_read",
+                     "i2c_write", "led", "deadline")
+                ),
+                st.integers(1, 400),
+            ),
+            min_size=3,
+            max_size=24,
+        )
+    )
+    return {
+        "seed": draw(st.integers(0, 2**31)),
+        "distance": draw(st.floats(0.6, 2.0)),
+        "fading": draw(st.sampled_from((0.0, 0.0, 2.0, 5.0))),
+        "cap_leak": draw(st.sampled_from((None, 2e5, 5e6))),
+        "rate": draw(st.sampled_from((1e3, 4e3, 9.7e3, 25e3))),
+        "threshold": draw(st.sampled_from((None, 2.0, 2.2, 2.4))),
+        "v0": draw(st.floats(2.0, 3.0)),
+        "ops": ops,
+        "repeat": draw(st.integers(5, 40)),
+    }
+
+
+def _play_traffic(s: dict, fast: bool) -> tuple[dict, TargetDevice]:
+    """Drive a debugger-attached device through ``s``.
+
+    Returns what the run observed and the device.  ``fast=False``
+    switches the device's spend window off, so every spend takes the
+    one-call-at-a-time reference path.
+    """
+    sim = Simulator(seed=s["seed"])
+    power = make_wisp_power_system(
+        sim, distance_m=s["distance"], fading_sigma=s["fading"]
+    )
+    power.capacitor.leakage_resistance = s["cap_leak"]
+    device = TargetDevice(sim, power)
+    device._fast_spend_enabled = fast
+    device.i2c.attach(0x1D, _Registers())
+    edb = EDB(sim, device, sample_rate=s["rate"])
+    edb.trace("energy")
+    stops = []
+    edb.board.on_break = lambda event, session: stops.append(
+        (event.reason, event.time, event.vcap)
+    )
+    if s["threshold"] is not None:
+        edb.break_on_energy(s["threshold"])
+    power.capacitor.voltage = s["v0"]
+    power.reset_comparator()
+    log = []
+    for _ in range(s["repeat"]):
+        for op, n in s["ops"]:
+            try:
+                if not power.is_on:
+                    power.charge_until_on()
+                    device.reboot()
+                if op == "cycles":
+                    device.execute_cycles(n)
+                elif op == "uart":
+                    device.uart.transmit(bytes(range(n % 7 + 1)))
+                elif op == "i2c_read":
+                    device.i2c.read(0x1D, n % 16, n % 5 + 1)
+                elif op == "i2c_write":
+                    device.i2c.write(0x1D, n % 16, bytes([n % 256]))
+                elif op == "led":
+                    device.gpio.toggle("led")
+                else:
+                    device.stop_after = sim.now + n * 1e-6
+            except PowerFailure:
+                log.append(("brownout", sim.now))
+            except ExecutionLimit:
+                log.append(("deadline", sim.now))
+                device.stop_after = None
+            except TimeoutError as exc:  # a breakpoint's energy restore
+                log.append((str(exc), sim.now))
+    observed = {
+        "now": sim.now,
+        "vcap": power.capacitor._voltage,
+        "energy": device.energy_consumed,
+        "cycles": device.cycles_executed,
+        "units": device.work_units,
+        "reboots": device.reboot_count,
+        "log": log,
+        "events": list(edb.monitor.events),
+        "streams": {
+            name: stream.getstate()
+            for name, stream in sorted(sim.rng._streams.items())
+        },
+        "stops": stops,
+    }
+    return observed, device
+
+
+#: The spend-count assertions need the fast spend path, which
+#: ``REPRO_NO_BLOCKCACHE=1`` switches off.
+needs_spend_window = pytest.mark.skipif(
+    os.environ.get("REPRO_NO_BLOCKCACHE", "") not in ("", "0"),
+    reason="spend window disabled by REPRO_NO_BLOCKCACHE",
+)
+
+
+class TestPassiveSpends:
+    """Sampler ticks and bus transfers stay on the fast spend path."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(s=_debugger_traffic())
+    def test_fast_path_matches_slow_path(self, s):
+        fast, _ = _play_traffic(s, fast=True)
+        slow, _ = _play_traffic(s, fast=False)
+        assert fast == slow
+
+    @needs_spend_window
+    def test_sampler_ticks_and_transfers_spend_fast(self):
+        """The differential above is not vacuous: the window serves them."""
+        s = {
+            "seed": 3, "distance": 1.4, "fading": 0.0, "cap_leak": 5e6,
+            "rate": 25e3, "threshold": 2.1, "v0": 2.6,
+            "ops": [("cycles", 90), ("uart", 5), ("i2c_write", 9),
+                    ("led", 1), ("i2c_read", 2), ("cycles", 300)],
+            "repeat": 60,
+        }
+        fast, device = _play_traffic(s, fast=True)
+        slow, _ = _play_traffic(s, fast=False)
+        assert fast == slow
+        assert len(fast["events"]) > 100 and fast["stops"]
+        # Nearly every spend committed on the fast path: a sampler tick
+        # or a bus byte never leaves it.
+        assert sum(device.slow_spends.values()) < fast["units"] // 10
+        assert device.slow_spends["event"] <= device.sim._fired
+
+
+    @needs_spend_window
+    def test_debug_session_spends_stay_fast(self, monkeypatch):
+        """A benchmark-shaped debug session leaves the fast path rarely.
+
+        Live energy trace at 4 kHz, an energy breakpoint whose hits read
+        FRAM and recharge, a 2 s run, then forty tethered memory reads
+        (each a UART exchange).  No slow spend is caused by a sampler
+        tick: every ``event`` refusal has a non-passive event due.
+        """
+        refusals = []
+        real = TargetDevice._slow_spend
+
+        def spy(device, cause, cycles, extra_current):
+            t1 = device.sim._now + cycles * device._cycle_time
+            refusals.append(
+                (
+                    cause,
+                    any(
+                        not (e.cancelled or e.passive) and e.time <= t1
+                        for e in device.sim._queue
+                    ),
+                )
+            )
+            real(device, cause, cycles, extra_current)
+
+        monkeypatch.setattr(TargetDevice, "_slow_spend", spy)
+        script = [
+            ("session.create", {"app": "fibonacci", "seed": 424242,
+                                "iterations": 198, "distance_m": 1.6}),
+            ("trace.enable", {"stream": "energy"}),
+            ("energy.charge", {"volts": 2.4}),
+            ("break.on_hit", {"actions": [
+                {"op": "read_u16", "address": FRAM_BASE},
+                {"op": "charge", "volts": 2.3},
+            ]}),
+            ("break.add_energy", {"threshold_v": 2.0}),
+            ("run", {"duration": 2.0}),
+        ]
+        for k in range(40):
+            script.append(
+                ("mem.read", {"address": FRAM_BASE + 6 * k, "count": 8})
+            )
+        service = DebugService()
+        sid = None
+        try:
+            for n, (method, params) in enumerate(script):
+                if sid is not None:
+                    params = {"session": sid, **params}
+                request = {"jsonrpc": "2.0", "id": n, "method": method,
+                           "params": params}
+                reply = json.loads(handle_line(service, json.dumps(request)))
+                assert "result" in reply, reply
+                if sid is None:
+                    sid = reply["result"]["session"]
+            session = service.sessions[sid]
+            slow = session.device.slow_spends
+            events = session.edb.monitor.events
+            stops = session.edb.board.break_events
+        finally:
+            service.close_all()
+        assert len(events) > 1000 and stops
+        assert sum(slow.values()) == len(refusals) < 100
+        assert all(due for cause, due in refusals if cause == "event")
 
 
 GOLDEN_CONFIG = CampaignConfig(

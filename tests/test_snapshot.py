@@ -26,6 +26,7 @@ from repro.campaign.forking import _program_state, _restore_program_state
 from repro.campaign.report import render_json
 from repro.campaign.runner import _install_injectors
 from repro.campaign.scheduler import run_campaign
+from repro.core.debugger import EDB
 from repro.power.harvester import RFHarvester
 from repro.runtime.checkpoint import fletcher16
 from repro.runtime.executor import IntermittentExecutor
@@ -34,7 +35,7 @@ from repro.sim.rng import derive_seed
 from repro.snapshot import DirtyTracker, capture, restore
 from repro.testing import make_bench_target, make_fast_target
 
-from tests.test_hotpath import GOLDEN_CONFIG, GOLDEN_PATH
+from tests.test_hotpath import GOLDEN_CONFIG, GOLDEN_PATH, needs_spend_window
 
 pytestmark = pytest.mark.snapshot
 
@@ -227,6 +228,48 @@ def test_rng_draw_stays_visible_after_restore():
     restore(target, snap)
     assert not sim.rng._streams  # the stream itself was rewound away
     assert not sim.rng.untouched
+
+
+@needs_spend_window
+def test_restored_sampler_stays_passive():
+    """A restore keeps EDB's energy sampler passive and host events queued.
+
+    The first spend after the restore rebuilds the spend window (the
+    restore drops it); the next sampler tick then fires inside a fast
+    spend and keeps that window.  A sampler restored as an ordinary
+    event would count as fired and cost a rebuild on every tick.
+    """
+    sim = Simulator(seed=5)
+    target = make_fast_target(sim, 1.0, 0.0)
+    edb = EDB(sim, target)
+    edb.trace("energy")
+    target.power.capacitor.voltage = 2.6
+    target.power.reset_comparator()
+    host = sim.call_at(1.0, lambda: None, host=True)
+    target.execute_cycles(100)
+    snap = capture(target)
+    for _ in range(40):
+        target.execute_cycles(100)
+    restore(target, snap)
+    assert host in sim._queue
+    sampler = [
+        e for e in sim._queue if e.callback == edb.monitor._sample_energy
+    ]
+    assert len(sampler) == 1 and sampler[0].passive
+    tick = sampler[0].time
+    target.execute_cycles(1)
+    window = target._spend_window
+    spent = dict(target.slow_spends)
+    assert window is not None
+    assert all(
+        e.passive or e.host or e.time > tick + 1e-4 for e in sim._queue
+    )
+    samples = len(edb.monitor.events)
+    while sim.now <= tick:
+        target.execute_cycles(100)
+    assert len(edb.monitor.events) == samples + 1
+    assert target._spend_window is window
+    assert target.slow_spends == spent
 
 
 def test_differential_capture_equals_full_capture():
