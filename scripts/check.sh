@@ -28,7 +28,7 @@ python -m pytest -q -m debug_smoke
 echo "== chaos smoke: fixed-seed host-fault injection, golden bytes =="
 python -m pytest -q -m chaos_smoke
 
-echo "== batch smoke: lane-vs-scalar byte-identity canary =="
+echo "== batch smoke: lane-vs-from-reset byte-identity canary =="
 python -m pytest -q -m batch_smoke
 
 echo "== examples smoke: every examples/*.py exits 0 =="

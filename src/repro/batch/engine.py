@@ -1,10 +1,12 @@
 """The lane engine: one fault-free leader serves a whole batch of legs.
 
 A fork-eligible campaign group (see ``forking._group_key``) is a set of
-legs whose trajectories are deterministic functions of their injection
-schedules alone: same app, same environment, zero fading, no corruption.
-Until a leg's schedule fires, its trajectory *is* the fault-free one.
-So the engine treats the group's legs as lanes and runs one **leader**:
+two or more sampled legs whose trajectories are deterministic functions
+of their injection schedules alone: same app, same environment, zero
+fading, no corruption.  It is the campaign's one fork path; every other
+leg runs from reset on a warm device.  Until a leg's schedule fires,
+its trajectory *is* the fault-free one.  So the engine treats the
+group's legs as lanes and runs one **leader**:
 a :class:`~repro.campaign.forking.ForkSession` whose fault-free pass
 pauses at every organic power-off and keeps the node each boot began
 from.  Memoisation, not vectorisation.
@@ -12,8 +14,8 @@ from.  Memoisation, not vectorisation.
 Every boundary the pass returned is checked against the live lanes'
 schedules (:class:`_LaneSchedules`).  Lanes whose schedule fired inside
 the boot just finished are **peeled**: the session replays them with
-their real schedule (``ForkSession.peel``) from the latest node of that
-boot before the firing point, bit-identical to a from-reset run
+their real schedule (``ForkSession.execute``) from the latest node of
+that boot before the firing point, bit-identical to a from-reset run
 arriving there.  The pass keeps two kinds of node: a *boot node* where
 each boot began, and, for ISA firmware whose boot is ``run_to_halt``
 over scalar host state, a *mid-boot node* every
@@ -38,8 +40,8 @@ stays untouched, which makes the seed inert.  Never kept: a leader that
 tripped the wall clock, hit a foreign stop, or drew randomness; an entry
 that fails mid-group, or whose hub reads touched after a group's
 replays, is dropped.  Any such failure makes the engine return ``None``
-and the caller falls back to the scalar fork/from-reset paths, so
-reports stay byte-identical.
+and the caller runs the group's legs from reset, so reports stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -74,15 +76,15 @@ _leader_memo: dict[tuple, tuple] = {}
 class _LaneSchedules:
     """The group's injection schedules and the lanes still in the batch."""
 
-    def __init__(self, pending: list[Run], mode: str):
+    def __init__(self, members: list[Run], mode: str):
         self.mode = mode
-        self.live = set(range(len(pending)))
+        self.live = set(range(len(members)))
         if mode == "op_index":
-            self.ops = [_schedule_of(run.plan) for run in pending]
+            self.ops = [_schedule_of(run.plan) for run in members]
         else:
             self.first_commit = [
                 run.plan.commit_counts[0] if run.plan.commit_counts else _NEVER
-                for run in pending
+                for run in members
             ]
 
     def fired(self, boot: int, boot_ops: int, writes_seen: int) -> list[int]:
@@ -161,25 +163,17 @@ def _leader_key(config, adapter, plan: FaultPlan) -> tuple:
 def execute_batch_group(config, members: list[Run]) -> dict[int, dict] | None:
     """Execute one fork-eligible group through the lane engine.
 
+    ``members`` are two or more runs sharing a ``forking._group_key``.
     Returns a record per member index, or ``None`` when the group should
-    fall back to the scalar paths (unsupported group, leader failure,
-    wall-clock budget trip, honesty violation).  The records are
-    byte-identical to what ``forking._execute_group`` produces — that is
-    the whole contract, pinned by the differential suite in
-    ``tests/test_batch.py`` and by the campaign golden.
+    run from reset instead (leader failure, wall-clock budget trip,
+    honesty violation).  The records are byte-identical to the
+    from-reset legs' (``runner.execute_safe``) — that is the whole
+    contract, pinned by the differential suite in ``tests/test_batch.py``
+    and by the campaign golden.
     """
-    if len(members) < 2:
-        return None
     adapter = members[0].adapter
-    if hasattr(adapter, "prepare"):
-        return None
     plan0 = members[0].plan
-    if plan0.mode not in ("op_index", "commit_boundary"):
-        return None
-    # Same ordering the scalar group path uses, so fallback parity is
-    # trivially byte-stable; record order is re-established by index.
-    pending = sorted(members, key=lambda run: _schedule_of(run.plan))
-    lanes = _LaneSchedules(pending, plan0.mode)
+    lanes = _LaneSchedules(members, plan0.mode)
     key = _leader_key(config, adapter, plan0)
     # Taken out while it serves: any failure below leaves it dropped.
     entry = _leader_memo.pop(key, None)
@@ -187,7 +181,7 @@ def execute_batch_group(config, members: list[Run]) -> dict[int, dict] | None:
         if entry is None:
             session = ForkSession(
                 config, adapter, plan0,
-                derive_seed(pending[0].seed, "intermittent"),
+                derive_seed(members[0].seed, "intermittent"),
             )
             with time_limit(config.max_wall_s):
                 entry = (session, *session.fault_free())
@@ -200,10 +194,10 @@ def execute_batch_group(config, members: list[Run]) -> dict[int, dict] | None:
             return None
         records: dict[int, dict] = {}
         mid_boot = skipped = 0
-        for position, run in enumerate(pending):
+        for position, run in enumerate(members):
             with time_limit(config.max_wall_s):
                 if position in peel:
-                    intermittent, schedule, injected, units = session.peel(
+                    intermittent, schedule, injected, units = session.execute(
                         peel[position], _schedule_of(run.plan)
                     )
                     if units:
@@ -232,7 +226,7 @@ def execute_batch_group(config, members: list[Run]) -> dict[int, dict] | None:
         while len(_leader_memo) > _LEADER_MEMO_SIZE:
             del _leader_memo[next(iter(_leader_memo))]
     note_lane_stats(
-        packed=len(pending), peeled=len(peel), spans=spans,
+        packed=len(members), peeled=len(peel), spans=spans,
         mid_boot=mid_boot, skipped=skipped,
     )
     return records

@@ -117,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot = parser.add_mutually_exclusive_group()
     snapshot.add_argument("--snapshot", dest="snapshot", action="store_true",
                           default=True,
-                          help="share campaign prefixes via device snapshots "
-                               "(default; reports are byte-identical either "
-                               "way)")
+                          help="run legs on warm snapshotted devices and "
+                               "memoize the control leg (default; reports "
+                               "are byte-identical either way)")
     snapshot.add_argument("--no-snapshot", dest="snapshot",
                           action="store_false",
                           help="simulate every run from reset (the legacy "
@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "fires (default; reports are byte-identical "
                             "either way)")
     batch.add_argument("--no-batch", dest="batch", action="store_false",
-                       help="run every leg through the scalar path")
+                       help="no leader leg: run every leg from reset "
+                            "(on warm devices unless --no-snapshot)")
     parser.add_argument("--out", default="campaign_report.json",
                         help="report path (default: %(default)s)")
     parser.add_argument("--quiet", action="store_true",

@@ -1,4 +1,4 @@
-"""Snapshot/fork execution: share campaign prefixes instead of re-simulating.
+"""Snapshot/fork execution: share campaign work instead of re-simulating.
 
 Two snapshot-powered mechanisms, both strictly optional (the
 ``--no-snapshot`` flag routes everything through the original
@@ -12,32 +12,33 @@ report contract:
   process serves every run of the campaign.  The independence claim is
   *verified*, not assumed: the result is only cached when the leg's
   :class:`~repro.sim.rng.RngHub` stayed untouched.
-- **Fork sessions** (:class:`ForkSession`).  One long-lived device
-  runs many legs from snapshot nodes, and every forked leg in the
-  campaign runs on one: the shrinker's ddmin probes (a bench session
-  replaying from the longest cached prefix); fork-eligible groups in
-  :func:`execute_chunk` — runs whose plans share a deterministic
+- **The lane engine's leader** (:class:`ForkSession`).  One long-lived
+  device runs a fault-free pass and keeps a node where each boot began
+  (and, for ISA firmware, every few hundred boot units inside it); a
+  peeled lane replays its own schedule from the latest node before it
+  fires (:mod:`repro.batch.engine`).  :func:`execute_chunk` sends a
+  sampled group to the engine when its runs share a deterministic
   environment (zero fading, equal distance and duty, no bit flips) and
-  an adapter, and differ only in their injection schedule, so the
-  shared schedule prefix is simulated once; and the lane engine
-  (:mod:`repro.batch.engine`), whose leader is a session's fault-free
-  pass and whose peeled lanes replay from its boot and mid-boot
-  nodes.  Sampled runs and fuzz genotypes (whose adapter is bound to
-  their stimulus) go through the same chunk and group code.
+  an adapter and differ only in their injection schedule.  Every other
+  run — singletons, fuzz genotypes, ``batch=False``, and the members
+  of a group the engine gives up — runs both legs from reset on a warm
+  pooled device (:func:`repro.campaign.runner.build_leg`), which is
+  cheap enough that sharing schedule prefixes between them does not
+  pay.
 
-Why the reports stay byte-identical: a boundary snapshot restores the
-*entire* simulated world (memory, CPU, peripherals, capacitor voltage,
-clock, event queue, RNG stream states) plus the injector/recorder
-progress counters and the program's host-side scalar state, and the
-executor resumes against the same absolute deadline (``run(until=...)``
-— no float re-derivation).  The state at a forced-brown-out boundary is
-a function of the consumed schedule prefix alone, so forking from the
-snapshot replays exactly the instruction/energy trajectory a from-reset
-run would produce.  Sessions that could be perturbed by their borrowed
+Why the reports stay byte-identical: a node restores the *entire*
+simulated world (memory, CPU, peripherals, capacitor voltage, clock,
+event queue, RNG stream states) plus the injector/recorder progress
+counters and the program's host-side scalar state, and the executor
+resumes against the same absolute deadline (``run(until=...)`` — no
+float re-derivation).  Until a schedule fires, its trajectory is the
+fault-free one, so resuming from a node before the firing point
+replays exactly the instruction/energy trajectory a from-reset run
+would produce.  Sessions that could be perturbed by their borrowed
 seed are ruled out up front (adapters with a ``prepare`` hook, plans
 with fading or corruption) and double-checked after the fact
 (``RngHub.untouched``); any violation or mid-session failure falls back
-to the legacy from-reset path for the affected runs.
+to the from-reset path for the affected runs.
 """
 
 from __future__ import annotations
@@ -61,15 +62,11 @@ from repro.campaign.runner import (
     execute_safe,
     planned_runs,
     run_continuous_leg,
-    run_record,
 )
 from repro.campaign.watchdog import RunWatchdog
-from repro.mcu.coverage import CoverageRecorder
 from repro.power.supply import PowerState
 from repro.runtime.executor import RunStatus
-from repro.sim.rng import derive_seed
 from repro.snapshot import DirtyTracker, capture, restore
-from repro.testing import time_limit
 
 _BOUNDARY = "snapshot-boundary"
 
@@ -166,88 +163,55 @@ def continuous_observation(
     return observation
 
 
-# -- pausing injectors -------------------------------------------------------
-class _PausingBrownouts(ScheduledBrownouts):
-    """ScheduledBrownouts that parks the executor at each forced failure.
-
-    The stop request is observed at the top of the executor's reboot
-    loop — *after* the program has taken the power failure exactly as it
-    would from the plain injector — which makes the pause point a clean
-    snapshot boundary: the device state there is a function of the
-    consumed schedule prefix alone.  With an empty schedule it never
-    forces, so the trajectory is the fault-free one.
-    """
-
-    def _force(self) -> None:
-        super()._force()
-        _request_boundary(self.device.sim)
-
-
-class _PausingCommitTrigger(CommitBoundaryTrigger):
-    """CommitBoundaryTrigger with the same pause-at-boundary behaviour."""
-
-    def _force(self) -> None:
-        super()._force()
-        _request_boundary(self.device.sim)
-
-
 # -- the fork session --------------------------------------------------------
 class ForkSession:
     """One long-lived device executing many runs from snapshot nodes.
 
-    The session flashes once and owns the leg's device and its wiring:
-    the recorder, a pausing injector, the watchdog, the absolute
-    deadline and the base reboot count.  A node is ``(snapshot,
-    injector state, recorder state, program state, boots)``; restoring
-    one resumes the whole simulated world where it was captured, and
-    every run goes through one restore-and-run loop (:meth:`_run`).
-    Dirty-page tracking makes each capture proportional to the pages
-    written since the previous one.  Three uses:
+    The lane engine's leader (:mod:`repro.batch.engine`).  The session
+    flashes once and owns the leg's device and its wiring: the
+    recorder, the injector, the watchdog, the absolute deadline and the
+    base reboot count.  A node is ``(snapshot, injector state, recorder
+    state, program state, boots)``; restoring one resumes the whole
+    simulated world where it was captured, and every run goes through
+    one restore-and-run loop (:meth:`_run`).  Dirty-page tracking makes
+    each capture proportional to the pages written since the previous
+    one.  Two uses:
 
-    - :meth:`execute` restores the longest cached prefix of a schedule
-      from the snapshot chain (keyed by the consumed injection prefix),
-      simulates only the suffix, and caches every new boundary it
-      crosses: prefix-group forking and shrinker replays;
     - :meth:`fault_free` runs the empty schedule to its end, pausing at
       every organic power-off and keeping the node each boot began
       from (a *boot node*) and, for programs that resume mid-boot,
       a node every :data:`MID_BOOT_SPACING` units inside each boot (a
-      *mid-boot node*): the lane engine's leader;
-    - :meth:`peel` replays one schedule from the latest such node
+      *mid-boot node*);
+    - :meth:`execute` replays one schedule from the latest such node
       before the schedule fires and caches nothing, so a session kept
       for a whole worker process does not grow.
 
-    ``plan`` gives a harvested-power session for a group of
-    same-environment runs, recording each run's brown-out schedule;
-    without one the session replays schedules on the bench supply for
-    the shrinker.  A group session borrows ``sim_seed`` from one
-    member's leg; the seed is sound for every schedule only while the
-    trajectory consumes zero randomness, so callers check
-    ``rng_untouched`` before trusting a result.  ``coverage`` records
-    block entries like a from-reset leg's.
+    ``plan`` gives the harvested-power environment of a group of
+    same-environment runs, recording each run's brown-out schedule.
+    The session borrows ``sim_seed`` from one member's leg; the seed is
+    sound for every schedule only while the trajectory consumes zero
+    randomness, so callers check ``rng_untouched`` before trusting a
+    result.
     """
 
     def __init__(
         self,
         config: CampaignConfig,
         adapter,
-        plan: FaultPlan | None,
+        plan: FaultPlan,
         sim_seed: int,
-        coverage: CoverageRecorder | None = None,
     ) -> None:
-        self.config = config
         self.adapter = adapter
-        self.mode = "op_index" if plan is None else plan.mode
+        self.mode = plan.mode
         self.sim, self.target, self.program, self.executor = build_leg(
-            config, adapter, sim_seed, plan, bench=plan is None,
-            coverage=coverage,
+            config, adapter, sim_seed, plan
         )
         self.tracker = DirtyTracker(self.target.memory)
-        self.recorder = None if plan is None else RebootRecorder(self.target)
+        self.recorder = RebootRecorder(self.target)
         if self.mode == "commit_boundary":
-            self.injector = _PausingCommitTrigger(self.target, [])
+            self.injector = CommitBoundaryTrigger(self.target, [])
         else:
-            self.injector = _PausingBrownouts(self.target, [])
+            self.injector = ScheduledBrownouts(self.target, [])
         self.watchdog = RunWatchdog(
             self.target, config.max_cycles, config.max_wall_s
         )
@@ -256,10 +220,8 @@ class ForkSession:
         # every segment of every schedule (see executor.run(until=...)).
         self._deadline = self.sim.now + config.duration
         self._base_reboots = self.target.reboot_count
-        self._chain: dict[tuple[int, ...], tuple] = {}
-        self._chain[()] = self._capture_node(0)
         #: The node each fault-free boot began from (see fault_free).
-        self._boots: list[tuple] = [self._chain[()]]
+        self._boots: list[tuple] = [self._capture_node(0)]
         #: Per fault-free boot, its mid-boot nodes as ``(boot_units,
         #: writes_seen, node)`` in capture order (see fault_free).
         self._mid: list[list[tuple[int, int, tuple]]] = [[]]
@@ -274,7 +236,7 @@ class ForkSession:
         return (
             capture(self.target, self.tracker),
             self.injector.export_state(),
-            self.recorder.export_state() if self.recorder else None,
+            self.recorder.export_state(),
             _program_state(self.program),
             boots,
         )
@@ -288,12 +250,6 @@ class ForkSession:
         return (
             self.injector.writes_seen if self.mode == "commit_boundary" else 0
         )
-
-    def _consumed(self) -> int:
-        """Schedule entries consumed at the current pause boundary."""
-        if self.mode == "commit_boundary":
-            return self.injector._index
-        return self.injector._boot + 1
 
     # -- execution ---------------------------------------------------------
     def _run(
@@ -312,8 +268,7 @@ class ForkSession:
         stop anyone else requested owns the run, so it raises and the
         caller falls back to a from-reset leg.  Returns ``(observation,
         recorded_schedule, injections)`` exactly as the from-reset
-        intermittent leg would; for replay sessions (no recorder) the
-        recorded schedule is ``key``.
+        intermittent leg would.
         """
         boots = 0
         if node is not None:
@@ -326,8 +281,7 @@ class ForkSession:
             else:
                 self.injector.schedule = list(key)
             self.injector.restore_state(inj_state)
-            if self.recorder is not None:
-                self.recorder.restore_state(rec_state)
+            self.recorder.restore_state(rec_state)
             _restore_program_state(self.program, prog_state)
         sim = self.sim
         self.watchdog.rearm_wall()
@@ -368,33 +322,7 @@ class ForkSession:
             observables=self.adapter.observe(self.program, self.executor.api),
             detail=None if result.detail is None else str(result.detail),
         )
-        recorded = (
-            self.recorder.schedule() if self.recorder is not None else list(key)
-        )
-        return observation, recorded, self.injector.injections
-
-    def execute(
-        self, schedule
-    ) -> tuple[Observation, list[int], int]:
-        """Run one schedule, forking from the longest cached prefix.
-
-        Returns ``(observation, recorded_schedule, injections)`` exactly
-        as the from-reset intermittent leg would; for replay sessions
-        (no recorder) the recorded schedule is the input schedule.
-        """
-        key = self._key(schedule)
-        prefix: tuple[int, ...] = ()
-        for k in range(len(key), 0, -1):
-            if key[:k] in self._chain:
-                prefix = key[:k]
-                break
-
-        def pause(boots: int) -> None:
-            consumed = self._consumed()
-            if 0 < consumed <= len(key) and key[:consumed] not in self._chain:
-                self._chain[key[:consumed]] = self._capture_node(boots)
-
-        return self._run(self._chain[prefix], key, pause)
+        return observation, self.recorder.schedule(), self.injector.injections
 
     def fault_free(
         self,
@@ -407,7 +335,7 @@ class ForkSession:
         boot's index, its completed work units, and the FRAM write tally
         the commit trigger keeps while it never fires — with the
         observation and the recorded schedule.  Call it once, on a fresh
-        session with a plan.
+        session.
 
         For a program that resumes mid-boot (``mid_boot_resumable``:
         its boot is :func:`~repro.apps.isa_app.run_to_halt` and its host
@@ -455,14 +383,14 @@ class ForkSession:
             observation, schedule, _ = self._run(None, (), pause)
         finally:
             # Forced brown-outs in later runs change the power state
-            # too, and peels keep no nodes: neither hook may outlive
+            # too, and replays keep no nodes: neither hook may outlive
             # this pass.
             target.power.on_power_change.remove(pauser)
             target.cpu.between_blocks = None
         boundaries.append(boundary())
         return boundaries, observation, schedule
 
-    def peel(
+    def execute(
         self, boot: int, schedule
     ) -> tuple[Observation, list[int], int, int]:
         """Replay ``schedule`` from fault-free boot ``boot``'s latest node.
@@ -476,8 +404,10 @@ class ForkSession:
         began from.  Either node's injector state is the one a
         from-reset injector holds there: the inert pass injector counted
         every reboot and, in commit mode, every FRAM write, and never
-        fired.  Nothing is cached.  Returns what :meth:`execute` does
-        plus the boot units the node skipped (0 from a boot node).
+        fired.  Nothing is cached.  Returns ``(observation,
+        recorded_schedule, injections)`` exactly as the from-reset
+        intermittent leg would, plus the boot units the node skipped (0
+        from a boot node).
         """
         key = self._key(schedule)
         if self.mode == "commit_boundary":
@@ -492,130 +422,67 @@ class ForkSession:
         return (*self._run(self._boots[boot], key), 0)
 
 
-# -- prefix-grouped chunk execution ------------------------------------------
+# -- chunk execution ---------------------------------------------------------
 def _schedule_of(plan: FaultPlan) -> tuple[int, ...]:
     if plan.mode == "commit_boundary":
         return plan.commit_counts
     return plan.ops_schedule
 
 
-def _group_key(plan: FaultPlan):
-    """Group identity for fork-eligible plans, or ``None``.
+def _group_key(run: Run):
+    """Lane-engine group identity for ``run``, or ``None``.
 
-    Eligibility is exactly the set of plans whose intermittent leg is a
-    deterministic function of its injection schedule: a fixed
-    environment (no fading — the only RNG consumer on the leg), no
-    bit-flip corruption, and a schedule-driven injection axis.
+    Eligibility is exactly the set of sampled runs whose intermittent
+    leg is a deterministic function of its injection schedule: an
+    adapter with no per-run ``prepare`` hook, a fixed environment (no
+    fading — the only RNG consumer on the leg), no bit-flip corruption,
+    and a schedule-driven injection axis.  Fuzz runs (with a ``shape``)
+    run from reset: their records need the leg's own coverage recorder,
+    which the engine's leader does not carry.
     """
+    plan = run.plan
     if (
-        plan.fading_sigma == 0.0
+        run.shape is None
+        and not hasattr(run.adapter, "prepare")
+        and plan.fading_sigma == 0.0
         and not plan.flips
         and plan.mode in ("op_index", "commit_boundary")
     ):
-        return (plan.mode, plan.distance_m, plan.duty)
+        return (plan.mode, plan.distance_m, plan.duty, run.adapter)
     return None
 
 
 def execute_chunk(
     config: CampaignConfig, work: list, batch: bool = True
 ) -> list[dict]:
-    """Execute a chunk of runs, forking shared injection prefixes.
+    """Execute a chunk of runs, sharing fault-free prefixes where it pays.
 
     The snapshot-mode worker entry point; ``work`` holds run indices,
     or genotype jobs in fuzz mode (see
-    :func:`repro.campaign.runner.planned_runs`).  Runs whose plans are
-    fork-eligible and share a group key and an adapter execute through
-    the lane engine (``batch`` on) or one :class:`ForkSession`;
-    everything else (and every fallback) runs from reset under
-    supervision, so the records are byte-identical either way.  Runs
-    that record coverage never enter the lane engine: a per-run
-    coverage recorder is exactly the state lock-stepped lanes cannot
-    share.  ``batch`` is an execution-only switch like ``snapshot`` —
-    it never enters the config or the report.
+    :func:`repro.campaign.runner.planned_runs`).  With ``batch`` on,
+    two or more runs sharing a group key (:func:`_group_key`) execute
+    through the lane engine (:mod:`repro.batch.engine`); every other
+    run, and every run of a group the engine gives up, runs from reset
+    on a warm device under supervision, so the records are
+    byte-identical either way.  ``batch`` is an execution-only switch
+    like ``snapshot`` — it never enters the config or the report.
     """
     runs = planned_runs(config, work)
-    if runs and hasattr(runs[0].adapter, "prepare"):
-        # Per-run specialisation (chaos): nothing is shareable.
-        return [execute_safe(config, run, snapshot=True) for run in runs]
     groups: dict[object, list[Run]] = {}
     for run in runs:
-        key = _group_key(run.plan)
+        key = _group_key(run) if batch else None
         groups.setdefault(
-            ("solo", run.index) if key is None else (key, run.adapter), []
+            ("solo", run.index) if key is None else key, []
         ).append(run)
     records: dict[int, dict] = {}
     for members in groups.values():
-        if len(members) < 2:
-            for run in members:
-                records[run.index] = execute_safe(config, run, snapshot=True)
-            continue
-        if batch and members[0].shape is None:
+        if len(members) > 1:
             from repro.batch.engine import execute_batch_group  # deferred: no cycle
 
             batched = execute_batch_group(config, members)
             if batched is not None:
                 records.update(batched)
                 continue
-        records.update(_execute_group(config, members))
+        for run in members:
+            records[run.index] = execute_safe(config, run, snapshot=True)
     return [records[run.index] for run in runs]
-
-
-def _execute_group(config: CampaignConfig, members: list[Run]) -> dict[int, dict]:
-    """Execute one fork-eligible group through a shared session.
-
-    Every member shares the first member's adapter and environment.
-    Any mid-session failure, and any violation of the zero-RNG honesty
-    invariant, sends the affected members back through the from-reset
-    path — which also re-raises (and therefore re-classifies)
-    deterministic guest failures exactly as a non-snapshot campaign
-    would record them.
-    """
-    # Lexicographic schedule order maximises prefix reuse between
-    # consecutive members; record order is re-established by index.
-    pending = sorted(members, key=lambda run: _schedule_of(run.plan))
-    first = pending[0]
-    records: dict[int, dict] = {}
-    fallback: list[Run] = []
-    session = None
-    try:
-        session = ForkSession(
-            config,
-            first.adapter,
-            first.plan,
-            derive_seed(first.seed, "intermittent"),
-            CoverageRecorder() if first.shape is not None else None,
-        )
-    except KeyboardInterrupt:
-        raise
-    except BaseException:
-        fallback = pending
-    if session is not None:
-        for position, run in enumerate(pending):
-            try:
-                with time_limit(config.max_wall_s):
-                    intermittent, schedule, injected = session.execute(
-                        _schedule_of(run.plan)
-                    )
-                    continuous = continuous_observation(
-                        config, run.adapter, derive_seed(run.seed, "continuous")
-                    )
-            except KeyboardInterrupt:
-                raise
-            except BaseException:
-                # Session state is suspect after any failure: this
-                # member and the rest of the group replay from reset.
-                fallback = pending[position:]
-                break
-            records[run.index] = run_record(
-                run, intermittent, schedule, injected, continuous,
-                session.target.cpu.coverage,
-            )
-        if not session.rng_untouched:
-            # The honesty invariant failed: some draw made the
-            # trajectory depend on the borrowed seed.  Nothing the
-            # session produced can be trusted.
-            records.clear()
-            fallback = list(pending)
-    for run in fallback:
-        records[run.index] = execute_safe(config, run, snapshot=True)
-    return records

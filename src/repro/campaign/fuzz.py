@@ -22,12 +22,12 @@ This module turns the same machinery into feedback-driven search:
 - **Execution.**  A genotype is an ordinary campaign
   :class:`~repro.campaign.runner.Run` whose adapter is bound to its
   stimulus and whose record gains a ``fuzz`` key.  Rounds run through
-  the sampling campaign's driver, worker, fork groups and shrink pass
+  the sampling campaign's driver, worker and shrink pass
   (:func:`~repro.campaign.scheduler.drive_campaign`): crash isolation,
-  journaling and resume; genotypes that share a stimulus fork their
-  schedule prefixes from one snapshot chain and share one memoized
-  control leg; diverging survivors shrink through the same ddmin pass,
-  replayed through a fork session when snapshots are on.
+  journaling and resume; every genotype's legs run from reset (on warm
+  devices when snapshots are on), genotypes that share a stimulus share
+  one memoized control leg, and diverging survivors shrink through the
+  same ddmin pass.
 
 Everything here honours the engine's byte-identity contract: for a
 fixed config the report is identical across worker counts, snapshot
@@ -56,8 +56,8 @@ def fuzz_plan(config: CampaignConfig, schedule) -> FaultPlan:
     Fuzz plans pin the environment (fixed distance, zero fading, no
     duty modulation, no corruption flips) so the intermittent leg is a
     deterministic function of the schedule and stimulus alone — which
-    both makes mutation feedback meaningful and makes *every* fuzz run
-    fork-eligible (see :func:`repro.campaign.forking._group_key`).
+    makes mutation feedback meaningful and lets one memoized control
+    leg serve every genotype of a stimulus.
     """
     return FaultPlan(
         mode="op_index",
@@ -75,10 +75,10 @@ class _StimulusAdapter:
     Delegates everything to the underlying adapter except ``build``,
     which routes through the adapter's ``build_fuzz`` hook so the
     program under test consumes exactly this genotype's input.  It has
-    no ``prepare`` attribute on purpose: bound adapters stay memoizable
-    and fork-eligible.  Bindings of the same adapter to the same bytes
-    compare equal, so the control-leg memo and the fork groups, which
-    key on the adapter, treat them as one.
+    no ``prepare`` attribute on purpose: bound adapters stay memoizable.
+    Bindings of the same adapter to the same bytes compare equal, so
+    the control-leg memo, which keys on the adapter, treats them as
+    one.
     """
 
     def __init__(self, adapter, stimulus: bytes) -> None:
@@ -163,8 +163,7 @@ def splice(
     """Crossover: a prefix of one seed's schedule, a suffix of another's.
 
     Prefix-preserving on purpose — spliced children share their leading
-    boots with the parent, which is exactly what the snapshot chain
-    forks for free.
+    boots with the parent, so they explore near a known trajectory.
     """
     if not schedule or not donor:
         return random_schedule(rng, config)
@@ -430,7 +429,7 @@ def run_fuzz_campaign(
     the final corpus when the campaign completes.  Journal/resume work
     exactly as in :func:`~repro.campaign.scheduler.run_campaign`: jobs
     are regenerated deterministically, so only missing indices execute.
-    Fuzz groups never enter the lane engine (see
+    Fuzz runs never enter the lane engine (see
     :func:`~repro.campaign.forking.execute_chunk`), so there is no
     ``batch`` switch here.
     """

@@ -52,7 +52,7 @@ from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
 from repro.campaign.errors import HostFault, WorkerLost, error_record
 from repro.campaign.journal import JournalWriter, load_journal
-from repro.campaign.oracle import DIVERGED, ERROR, Observation, compare
+from repro.campaign.oracle import DIVERGED, ERROR, Observation
 from repro.campaign.report import build_report
 from repro.campaign.runner import (
     capture_divergence,
@@ -83,9 +83,9 @@ def _chunk_worker(
     only way a chunk can fail as a unit is the worker process itself
     dying.
 
-    ``snapshot`` routes the chunk through the prefix-fork engine
-    (:func:`repro.campaign.forking.execute_chunk`), which shares work
-    between runs whose fault plans allow it and produces byte-identical
+    ``snapshot`` routes the chunk through
+    :func:`repro.campaign.forking.execute_chunk`, which runs legs on
+    warm devices and memoizes the control leg, producing byte-identical
     records either way; ``batch`` additionally routes fork-eligible
     groups through the lane engine (:mod:`repro.batch.engine`).
     Both are execution-only parameters — never part of the config dict,
@@ -372,26 +372,21 @@ def _shrink_pass(
 
     ``adapter_of(record)`` is the adapter the record's run executed
     with: the app's own for sampled runs, bound to the genotype's
-    stimulus for fuzz runs.  Each distinct adapter gets one control leg
-    and, with ``snapshot`` on, one replay session.
+    stimulus for fuzz runs.  Each distinct adapter gets one control leg.
 
     Tolerant by construction: a control leg that fails to run marks its
     candidates unshrunk, and replays that raise are treated as "does
     not reproduce" (see :func:`repro.campaign.shrinker.shrink_schedule`).
 
-    With ``snapshot`` on, ddmin probes replay from the nearest cached
-    boundary snapshot of one long-lived bench session instead of
-    re-simulating each candidate's shared prefix from reset; any
-    session failure (or a violated zero-RNG invariant) falls back to
-    the from-reset replay, probe by probe.
+    With ``snapshot`` on, the control leg is the memoized one and each
+    ddmin probe's bench replay runs from reset on a warm device.
     """
-    from repro.campaign.forking import ForkSession, continuous_observation
+    from repro.campaign.forking import continuous_observation
 
     diverging = [
         r for r in records if r["verdict"]["verdict"] == DIVERGED
     ][: config.shrink_limit]
     controls: dict[object, Observation | None] = {}
-    sessions: dict[object, ForkSession | None] = {}
     for record in diverging:
         adapter = adapter_of(record)
         if adapter not in controls:
@@ -411,34 +406,8 @@ def _shrink_pass(
         if continuous is None:
             record["shrunk"] = None
             continue
-        if adapter not in sessions:
-            sessions[adapter] = None
-            if snapshot and not hasattr(adapter, "prepare"):
-                try:
-                    sessions[adapter] = ForkSession(
-                        config, adapter, None,
-                        derive_seed(config.seed, "replay"),
-                    )
-                except Exception:
-                    pass
 
         def still_fails(candidate: list[int]) -> bool:
-            session = sessions[adapter]
-            if session is not None:
-                try:
-                    observation, _, _ = session.execute(candidate)
-                    if session.rng_untouched:
-                        return compare(
-                            observation, continuous, adapter.invariant_keys
-                        ).diverged
-                except KeyboardInterrupt:
-                    raise
-                except BaseException:
-                    pass
-                # Session state is suspect (a replay raised) or the
-                # zero-RNG invariant broke: retire the session and
-                # replay this and all later probes from reset.
-                sessions[adapter] = None
             return verdict_for_schedule(
                 config, adapter, continuous, candidate, snapshot=snapshot
             ).diverged
@@ -490,15 +459,16 @@ def run_campaign(
     storage.  ``fail_fast`` stops scheduling new work after the first
     diverged or errored record.
 
-    ``snapshot`` (default on) enables the snapshot/fork execution
-    paths — prefix-grouped run forking, memoized continuous legs, and
-    boundary-snapshot ddmin replays (:mod:`repro.campaign.forking`).
+    ``snapshot`` (default on) enables the snapshot execution paths —
+    warm pooled devices for from-reset legs (ddmin replays included)
+    and memoized continuous legs (:mod:`repro.campaign.forking`).
     It is execution-only: the records, the journal format, and the
     report are byte-identical with it on or off, which is why it is a
     keyword here rather than a :class:`CampaignConfig` field.
 
     ``batch`` (default on) additionally routes fork-eligible groups
-    through the lane engine (:mod:`repro.batch`); it is gated the same
+    through the lane engine (:mod:`repro.batch`), the one fork path;
+    with it off every run executes from reset.  It is gated the same
     way (execution-only, byte-identical on/off) and is inert when
     ``snapshot`` is off.
 

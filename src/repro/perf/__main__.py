@@ -79,8 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--check", action="store_true",
+        # argparse %-formats help strings: the trailing '%' doubles the
+        # percent sign the format spec prints.
         help=f"exit non-zero if any metric regresses more than "
-             f"{REGRESSION_TOLERANCE:.0%} against the baseline",
+             f"{REGRESSION_TOLERANCE:.0%}% against the baseline",
     )
     parser.add_argument(
         "--write-baseline", action="store_true",

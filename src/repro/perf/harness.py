@@ -12,9 +12,9 @@ the profile that motivated the PR-2 hot-path work:
 - ``campaign`` — a small end-to-end fault-injection campaign (the PR-1
   engine), the unit the fleet multiplies by hundreds;
 - ``snapshot_fork`` — a fixed-environment campaign where every run in a
-  fault mode shares harvesting conditions, so the snapshot/fork engine
-  gets real prefix groups to share (the best case the ``campaign``
-  benchmark's randomized environments never produce);
+  fault mode shares harvesting conditions, so the lane engine gets real
+  fork groups to share (the best case the ``campaign`` benchmark's
+  randomized environments never produce);
 - ``campaign_opsweep`` — a fixed-environment op-index sweep where the
   whole chunk forms one lane group for the lane engine: one
   fault-free leader is shared, never-firing schedules become clones,
@@ -22,7 +22,7 @@ the profile that motivated the PR-2 hot-path work:
   ``--no-batch`` lands in ``detail``);
 - ``fuzz_search`` — a coverage-guided fuzz campaign on the RFID
   dispatch firmware: coverage recording, corpus bookkeeping, mutators,
-  and stimulus-grouped forking, end to end.
+  and warm from-reset legs, end to end.
 
 Every benchmark reports a *higher-is-better* throughput value, so the
 regression check is a single ratio per metric.  Wall-clock timing
@@ -192,8 +192,8 @@ def bench_campaign(runs: int = 6) -> BenchResult:
             "diverged": report["summary"]["diverged"],
             "agree": report["summary"]["agree"],
             # The execution shape actually used: how many workers the
-            # scheduler was given and whether snapshot/fork prefix
-            # sharing was active (run_campaign defaults it on), so a
+            # scheduler was given and whether snapshot execution was
+            # active (run_campaign defaults it on), so a
             # recorded BENCH file says what was measured.
             "workers": config.workers,
             "snapshot": True,
@@ -202,11 +202,11 @@ def bench_campaign(runs: int = 6) -> BenchResult:
 
 
 def bench_snapshot_fork(runs: int = 24) -> BenchResult:
-    """Prefix-shared campaign throughput (snapshot forking at its best).
+    """Fork-group campaign throughput (snapshot execution at its best).
 
     The environment is pinned (fixed distance, no fading), so every run
-    in a fault mode lands in one fork group and the engine executes each
-    shared injection prefix once.  Both execution paths are timed on the
+    in a fault mode lands in one fork group and the lane engine runs its
+    fault-free prefix once.  Both execution paths are timed on the
     identical config — their reports are byte-identical by contract —
     and the headline value is the snapshot path's throughput; the
     no-snapshot figure and the resulting speedup land in ``detail``.
@@ -318,11 +318,12 @@ def bench_fuzz_search(runs: int = 18) -> BenchResult:
     """Coverage-guided fuzz campaign throughput on the RFID firmware.
 
     Exercises the full search stack per run — coverage recording in the
-    ISA core, corpus bookkeeping, mutators, stimulus-grouped snapshot
-    forking — so a regression in any of those layers shows up as a
-    runs/s cliff here before it shows up in a fleet.  The round count
-    scales with the budget (three runs per round, capped at six rounds)
-    to keep the corpus-feedback loop engaged at every scale.  A small
+    ISA core, corpus bookkeeping, mutators, warm from-reset legs and
+    the memoized control leg — so a regression in any of those layers
+    shows up as a runs/s cliff here before it shows up in a fleet.  The
+    round count scales with the budget (three runs per round, capped at
+    six rounds) to keep the corpus-feedback loop engaged at every
+    scale.  A small
     untimed campaign pays the one-time costs first (see
     :func:`bench_campaign`).
     """

@@ -212,10 +212,12 @@ def chaos_capture(
     Every ``plan.snapshot_period``-th capture is corrupted (via
     :func:`corrupt_snapshot`, seeded from the plan) after its checksum
     is taken.  With the ``snapshot_corrupt`` axis disabled this is a
-    transparent pass-through.  Intended for monkeypatching the fork
-    engine's capture path in the chaos suite; the restore-time checksum
-    plus the fork engine's from-reset fallback must keep the campaign
-    report byte-identical regardless.
+    transparent pass-through.  Intended for monkeypatching the capture
+    paths of the lane leader (``repro.campaign.forking``) and the warm
+    device pool (``repro.snapshot``, which the runner calls through the
+    module) in the chaos suite; the restore-time checksum plus the
+    from-reset fallbacks must keep the campaign report byte-identical
+    regardless.
     """
     rng = random.Random(derive_seed(plan.seed, "snapshot-rot"))
     state = {"captures": 0}

@@ -154,7 +154,7 @@ class IntermittentExecutor:
             and is not counted in ``boots``.  For a device restored to a
             snapshot taken inside a boot, between two ``step_block``
             calls, of a program whose ``main`` continues from any such
-            point (``mid_boot_resumable``); the fork sessions' peels
+            point (``mid_boot_resumable``); the lane engine's peels
             resume from these.
         """
         if (duration is None) == (until is None):

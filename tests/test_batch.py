@@ -1,11 +1,12 @@
-"""Lane engine (``repro.batch``): lane-vs-scalar bit-identity properties.
+"""Lane engine (``repro.batch``): lane-vs-from-reset bit-identity properties.
 
 The batch engine's contract is that it is *invisible* in the records: a
 campaign produces byte-identical reports with batching on or off.  The
 tests here pin that contract for the leader/peel/clone engine against
-the scalar fork group on every divergence class the engine can meet
+from-reset legs on every divergence class the engine can meet
 (fault-schedule hits, organic mid-run brown-outs, commit-boundary
-writes, never-firing sweeps), pin that the engine needs no optional
+writes, never-firing sweeps), pin that a group the engine gives up runs
+from reset without a second session, that the engine needs no optional
 package, and pin the per-process leader memo: hits, key misses, the
 leaders it never keeps, and that a kept leader session does not grow.
 """
@@ -28,11 +29,12 @@ from repro.campaign import forking, watchdog
 from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
 from repro.campaign.faults import plan_faults
-from repro.campaign.forking import _execute_group, execute_chunk
+from repro.campaign.forking import execute_chunk
 from repro.campaign.report import render_json
 from repro.campaign.runner import (
     Run,
     execute_safe,
+    planned_runs,
     tier_stats_delta,
     tier_stats_snapshot,
 )
@@ -42,13 +44,14 @@ from repro.runtime.checkpoint import fletcher16
 from repro.sim.rng import derive_seed
 
 
-# -- the leader/peel/clone engine vs the scalar fork group -----------------
+# -- the leader/peel/clone engine vs from-reset legs -----------------------
 class ChecksumAdapter:
     """rfid_firmware with FRAM checksums folded into every observation.
 
     Wrapping the observation makes the differential tests sensitive to
     *any* end-state memory divergence between the lane engine and the
-    scalar path, not just the handful of words the stock adapter reads.
+    from-reset path, not just the handful of words the stock adapter
+    reads.
     """
 
     name = "rfid_firmware"
@@ -98,16 +101,23 @@ def _records_json(records: dict) -> str:
     )
 
 
+def _from_reset(config: CampaignConfig, members: list[Run]) -> dict:
+    """Each member's record from its own from-reset legs."""
+    return {
+        run.index: execute_safe(config, run, snapshot=False)
+        for run in members
+    }
+
+
 def _differential(config: CampaignConfig, duty=None, count=6):
-    """Assert batch == scalar for one group; return the lane counters."""
+    """Assert batch == from-reset for one group; return the lane counters."""
     adapter = ChecksumAdapter()
     members = _members(config, count, adapter, duty=duty)
     before = tier_stats_snapshot()
     batched = execute_batch_group(config, members)
     lanes = tier_stats_delta(before)
     assert batched is not None, "engine fell back unexpectedly"
-    scalar = _execute_group(config, members)
-    assert _records_json(batched) == _records_json(scalar)
+    assert _records_json(batched) == _records_json(_from_reset(config, members))
     return lanes
 
 
@@ -128,7 +138,7 @@ def test_differential_fault_schedule_peel():
 
     Low op indices guarantee every lane's injection lands inside the
     executed window — the pure-peel regime, where the engine's replay
-    must reproduce the scalar leg exactly (checksums, reboot
+    must reproduce the from-reset leg exactly (checksums, reboot
     boundaries, observations).
     """
     lanes = _differential(_opsweep_config(min_ops=5, max_ops=400))
@@ -153,7 +163,7 @@ def test_differential_organic_brownout_spans():
     A heavy workload at a marginal distance drains the capacitor
     mid-run, so the leader crosses several charge/discharge boundaries;
     peels must replay from the correct boundary snapshot (mid-block
-    brown-out class) and clones must still match the scalar leg.
+    brown-out class) and clones must still match the from-reset leg.
     """
     lanes = _differential(
         _opsweep_config(
@@ -401,7 +411,7 @@ def test_leader_that_tripped_the_wall_clock_is_not_kept(
 
     Every lane fires at the first pause, before the host clock jumps
     and trips the leader's watchdog, so the group's records are still
-    sound and match the scalar path; only the leader is not kept.
+    sound and match the from-reset path; only the leader is not kept.
     """
     jumped = []
     monkeypatch.setattr(
@@ -433,17 +443,37 @@ def test_leader_that_tripped_the_wall_clock_is_not_kept(
     assert not engine._leader_memo
     assert batched is not None
     assert _records_json(batched) == _records_json(
-        _execute_group(config, members)
+        _from_reset(config, members)
     )
 
 
-def test_foreign_stop_sends_the_group_from_reset(leader_runs, monkeypatch):
+@pytest.fixture
+def sessions_built(monkeypatch):
+    """The arguments of every :class:`ForkSession` built, in order."""
+    built = []
+    real_init = forking.ForkSession.__init__
+
+    def counting_init(session, *args, **kwargs):
+        built.append(args)
+        real_init(session, *args, **kwargs)
+
+    monkeypatch.setattr(forking.ForkSession, "__init__", counting_init)
+    return built
+
+
+#: The chunk of :data:`_SWEEP_CONFIG` whose four runs form one group.
+_SWEEP_CHUNK = list(range(_SWEEP_CONFIG.chunk))
+
+
+def test_foreign_stop_sends_the_group_from_reset(
+    leader_runs, sessions_built, monkeypatch
+):
     """A stop request the session did not make owns the run.
 
     The request lands right after the first node a session captures
-    past flash.  The lane engine gives its group up, and the fork group
-    replays every member from reset, recording what the from-reset
-    path records.
+    past flash.  The lane engine gives its group up and keeps no
+    leader; the chunk builds no second session and runs every member
+    from reset, recording what the from-reset path records.
     """
     real_capture = forking.ForkSession._capture_node
 
@@ -453,15 +483,6 @@ def test_foreign_stop_sends_the_group_from_reset(leader_runs, monkeypatch):
         return real_capture(session, boots)
 
     monkeypatch.setattr(forking.ForkSession, "_capture_node", capture_then_stop)
-    members = [
-        run._replace(plan=dataclasses.replace(run.plan, ops_schedule=schedule))
-        for run, schedule in zip(
-            _members(_SWEEP_CONFIG, 3, ChecksumAdapter()),
-            [(1000,), (2000, 500), (3000,)],
-        )
-    ]
-    assert execute_batch_group(_SWEEP_CONFIG, members) is None
-    assert len(leader_runs) == 0 and not engine._leader_memo
     from_reset = []
     real_safe = forking.execute_safe
 
@@ -470,15 +491,19 @@ def test_foreign_stop_sends_the_group_from_reset(leader_runs, monkeypatch):
         return real_safe(config, run, snapshot=snapshot)
 
     monkeypatch.setattr(forking, "execute_safe", counting_safe)
-    records = _execute_group(_SWEEP_CONFIG, members)
-    assert sorted(from_reset) == [run.index for run in members]
-    assert _records_json(records) == _records_json(
-        {run.index: real_safe(_SWEEP_CONFIG, run, snapshot=True)
-         for run in members}
-    )
+    records = execute_chunk(_SWEEP_CONFIG, _SWEEP_CHUNK)
+    assert len(sessions_built) == 1, "a second session served the group"
+    assert len(leader_runs) == 0 and not engine._leader_memo
+    assert from_reset == _SWEEP_CHUNK
+    assert records == [
+        real_safe(_SWEEP_CONFIG, run, snapshot=False)
+        for run in planned_runs(_SWEEP_CONFIG, _SWEEP_CHUNK)
+    ]
 
 
-def test_one_foreign_stop_mid_boot_is_not_lost(leader_runs, monkeypatch):
+def test_one_foreign_stop_mid_boot_is_not_lost(
+    leader_runs, sessions_built, monkeypatch
+):
     """A single foreign stop inside boot 0 still owns the leader pass.
 
     The request lands once, at the leader's first mid-boot node (the
@@ -499,21 +524,14 @@ def test_one_foreign_stop_mid_boot_is_not_lost(leader_runs, monkeypatch):
     monkeypatch.setattr(
         forking.ForkSession, "_capture_node", capture_then_stop_once
     )
-    members = [
-        run._replace(plan=dataclasses.replace(run.plan, ops_schedule=schedule))
-        for run, schedule in zip(
-            _members(_SWEEP_CONFIG, 3, ChecksumAdapter()),
-            [(1000,), (2000, 500), (3000,)],
-        )
-    ]
-    assert execute_batch_group(_SWEEP_CONFIG, members) is None
+    records = execute_chunk(_SWEEP_CONFIG, _SWEEP_CHUNK)
     assert requested and requested[0] >= forking.MID_BOOT_SPACING
+    assert len(sessions_built) == 1
     assert len(leader_runs) == 0 and not engine._leader_memo
-    records = _execute_group(_SWEEP_CONFIG, members)
-    assert _records_json(records) == _records_json(
-        {run.index: forking.execute_safe(_SWEEP_CONFIG, run, snapshot=True)
-         for run in members}
-    )
+    assert records == [
+        execute_safe(_SWEEP_CONFIG, run, snapshot=False)
+        for run in planned_runs(_SWEEP_CONFIG, _SWEEP_CHUNK)
+    ]
 
 
 def test_tainted_entry_is_dropped_and_its_group_falls_back(leader_runs):
@@ -521,7 +539,7 @@ def test_tainted_entry_is_dropped_and_its_group_falls_back(leader_runs):
 
     The draw stands in for any replay that consumed randomness: the
     sticky RNG check fails after the group's replays, the entry goes,
-    and the group is served by the scalar path instead.
+    and the group runs from reset instead.
     """
     config = dataclasses.replace(_SWEEP_CONFIG, runs=4)
     indices = list(range(4))
@@ -560,8 +578,7 @@ def test_memoised_leader_session_stays_bounded(leader_runs):
         assert tier_stats_delta(before)["lanes_peeled"] == 2
         ((session, *_),) = engine._leader_memo.values()
         sizes.append(
-            len(session._chain) + len(session._boots)
-            + sum(len(nodes) for nodes in session._mid)
+            len(session._boots) + sum(len(nodes) for nodes in session._mid)
         )
     assert len(leader_runs) == 1
     assert sizes == [sizes[0]] * len(sizes)
@@ -575,7 +592,7 @@ def test_boot_nodes_hold_the_from_reset_injector_state(mode):
     injector has consumed one schedule entry per completed boot and
     injected nothing; a from-reset commit trigger has counted every FRAM
     write and consumed no count.  The pass's inert injector holds
-    exactly that state, so ``peel`` restores it as captured.
+    exactly that state, so ``execute`` restores it as captured.
     """
     config = dataclasses.replace(_SWEEP_CONFIG, modes=(mode,))
     (run,) = _members(config, 1, ChecksumAdapter())
@@ -614,8 +631,8 @@ def test_mid_boot_peels_match_scalar_and_from_reset(mode, leader_runs):
     by it), inside the second boot, and once more with further entries
     after the first injection.  The position is the boot's work units on
     the op-index axis and the cumulative FRAM write tally on the commit
-    axis.  Every record equals the scalar fork group's and the
-    from-reset leg's, and the tallies name the nodes the peels took.
+    axis.  Every record equals the from-reset leg's, and the tallies
+    name the nodes the peels took.
     """
     config = dataclasses.replace(_SWEEP_CONFIG, modes=(mode,))
     adapter = ChecksumAdapter()
@@ -642,11 +659,7 @@ def test_mid_boot_peels_match_scalar_and_from_reset(mode, leader_runs):
     lanes = tier_stats_delta(before)
     assert batched is not None
     assert _records_json(batched) == _records_json(
-        _execute_group(config, members)
-    )
-    assert _records_json(batched) == _records_json(
-        {run.index: execute_safe(config, run, snapshot=False)
-         for run in members}
+        _from_reset(config, members)
     )
     assert lanes["lanes_peeled"] == 5
     assert lanes["peels_mid_boot"] == 4

@@ -136,3 +136,16 @@ def test_a_broken_command_is_caught(pytestconfig):
         _check(["pytest", "tests/no_such_file.py"], markers)
     with pytest.raises(AssertionError):
         _check(["python", "-m", "repro.nowhere"], markers)
+
+
+@pytest.mark.parametrize("module", sorted(PARSERS))
+def test_cli_help_renders(module):
+    """Every CLI's ``--help`` renders its own words.
+
+    argparse %-formats help strings, so a bare ``%`` either raises here
+    or, followed by a space and a letter, prints the action's internals
+    dict in place of the text (``30% against`` read as ``% a``).
+    """
+    text = PARSERS[module]().format_help()
+    assert "option_strings" not in text
+    assert "%(" not in text

@@ -3,7 +3,7 @@
 Four properties pin the fuzz engine to the campaign contract:
 
 - **Byte-identity.**  For a fixed config the fuzz report is identical
-  across snapshot forking on/off, the block translation cache on/off
+  across snapshot execution on/off, the block translation cache on/off
   (``REPRO_NO_BLOCKCACHE=1``), serial vs parallel execution, and a
   journal resume — the coverage signal must never perturb, or be
   perturbed by, the execution strategy.
@@ -332,7 +332,7 @@ class TestSharedEngine:
         assert forking.continuous_observation(self.CONFIG, again, 2) is control
 
     def test_forked_group_matches_from_reset_records(self):
-        """A same-stimulus group forks, and its records match from-reset."""
+        """A same-stimulus group's chunk records match from-reset legs."""
         jobs = [
             self._job(0, [40, 30]), self._job(1, [40, 70, 20]),
             self._job(2, [25], stimulus="00"),
@@ -340,6 +340,34 @@ class TestSharedEngine:
         forked = forking.execute_chunk(self.CONFIG, jobs)
         assert forked == [execute_fuzz_run(self.CONFIG, job) for job in jobs]
         assert all(record["fuzz"]["coverage"]["blocks"] for record in forked)
+
+    def test_fuzz_chunk_and_shrink_pass_build_no_fork_session(
+        self, monkeypatch
+    ):
+        """Fuzz runs and their shrink probes run from reset, unforked.
+
+        A same-stimulus pair of genotypes in one chunk, then a campaign
+        whose diverging survivor shrinks: neither builds a session.
+        """
+        built = []
+        real_init = forking.ForkSession.__init__
+
+        def counting_init(session, *args, **kwargs):
+            built.append(args)
+            real_init(session, *args, **kwargs)
+
+        monkeypatch.setattr(forking.ForkSession, "__init__", counting_init)
+        forking.execute_chunk(
+            self.CONFIG, [self._job(0, [40, 30]), self._job(1, [40, 70, 20])]
+        )
+        assert built == []
+        shrinking = CampaignConfig(
+            app="rfid_firmware", runs=64, seed=3, mode="fuzz",
+            fuzz_rounds=8, max_ops=120, shrink_limit=1,
+        )
+        report = run_campaign(shrinking)
+        assert any(row.get("shrunk") for row in report["divergences"])
+        assert built == []
 
 
 # -- smoke marker ------------------------------------------------------------

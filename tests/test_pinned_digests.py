@@ -3,12 +3,11 @@
 Each case is a small :class:`CampaignConfig` whose report bytes are
 pinned by sha256.  Together the cases cover every fault-placement mode
 (op index, energy level, commit boundary, organic), the corruption
-axis, two coverage-guided fuzz campaigns (one of which forks
-same-stimulus groups and shrinks a divergence), and a cycle-budget
-watchdog trip (``NONTERMINATING``).  Every case runs with snapshot
-forking off and on, and with the lane engine off and on; all four must
-produce the one pinned digest, because those switches are
-execution-only.
+axis, two coverage-guided fuzz campaigns (one of which shrinks a
+divergence), and a cycle-budget watchdog trip (``NONTERMINATING``).
+Every case runs with snapshot execution off and on, and with the lane
+engine off and on; all four must produce the one pinned digest,
+because those switches are execution-only.
 
 Scripted JSON-RPC debug sessions pin the debugger the same way, by a
 digest over every wire response line: one with an energy breakpoint
@@ -29,7 +28,6 @@ cache off and with forced deoptimization.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 
@@ -40,7 +38,6 @@ from repro import make_wisp_power_system
 from repro.analog.charge_circuit import ChargeDischargeCircuit
 from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
-from repro.campaign.forking import ForkSession
 from repro.campaign.report import render_json
 from repro.campaign.scheduler import run_campaign
 from repro.core.console import DebugConsole
@@ -90,8 +87,8 @@ CASES = {
                        fuzz_rounds=2, max_ops=120, shrink_limit=1),
         "600a5ffc35c2a6fe490681b4a7a4b1975508cba7c33a7b3fddc80585f27c947e",
     ),
-    # Same-stimulus genotypes fork from one session and a diverging
-    # survivor shrinks: the fuzz fork-group and shrink paths.
+    # Same-stimulus genotypes share a control leg and a diverging
+    # survivor shrinks: the fuzz chunk and shrink paths.
     "fuzz_fork_shrink": (
         CampaignConfig(app="rfid_firmware", runs=64, seed=3, mode="fuzz",
                        fuzz_rounds=8, max_ops=120, shrink_limit=1),
@@ -138,19 +135,13 @@ def test_max_cycles_case_trips_the_watchdog():
     assert "nonterminating" in statuses
 
 
-def test_fuzz_fork_shrink_case_forks_and_shrinks(monkeypatch):
-    """The fork/shrink fuzz case must really fork groups and shrink a run."""
+def test_fuzz_fork_shrink_case_forks_and_shrinks():
+    """The fork/shrink fuzz case must really shrink a run.
+
+    Its genotypes no longer fork (fuzz runs go from reset); the case
+    keeps its name and digest as the pin on the fuzz shrink path.
+    """
     config, _ = CASES["fuzz_fork_shrink"]
-    forked = []
-    execute = ForkSession.execute
-
-    def counting(session, schedule):
-        forked.append(tuple(schedule))
-        return execute(session, schedule)
-
-    monkeypatch.setattr(ForkSession, "execute", counting)
-    run_campaign(dataclasses.replace(config, shrink=False))
-    assert forked  # only same-stimulus groups fork when shrinking is off
     report = run_campaign(config)
     shrunk = [row["shrunk"] for row in report["divergences"] if row.get("shrunk")]
     assert shrunk

@@ -24,6 +24,7 @@ own step.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import random
@@ -45,7 +46,8 @@ from repro.campaign import (
     run_campaign,
     scan_journal,
 )
-from repro.campaign import forking, scheduler
+from repro.batch import engine
+from repro.campaign import forking, runner, scheduler
 from repro.campaign.report import render_json
 from repro.debug import errors
 from repro.debug.client import DebugClient, DebugRpcError
@@ -71,6 +73,7 @@ from repro.resilience import (
     tear_journal,
 )
 from repro.sim.rng import derive_seed
+import repro.snapshot as snapshots
 from repro.snapshot import SnapshotIntegrityError, capture, restore
 from repro.testing import make_fast_target
 
@@ -96,6 +99,14 @@ GOLDEN_CONFIG = CampaignConfig(
 CHAOS_CONFIG = CampaignConfig(
     app="linked_list", runs=8, seed=99, iterations=8, duration=0.4,
     shrink=False, workers=1, chunk=2,
+)
+
+#: :data:`CHAOS_CONFIG` in a pinned environment: each chunk's op-index
+#: runs form one lane group, whose leader captures nodes and whose
+#: peels restore them, and from-reset legs run on warm devices.
+ROT_CONFIG = dataclasses.replace(
+    CHAOS_CONFIG, chunk=4, modes=("op_index",), distance_range=(1.6, 1.6),
+    fading_range=(0.0, 0.0), duty_chance=0.0,
 )
 
 
@@ -280,16 +291,49 @@ class TestSnapshotChaos:
         assert after.memory_pages == pristine.memory_pages
         assert after.cpu_registers == pristine.cpu_registers
 
-    def test_campaign_survives_snapshot_rot(
-        self, monkeypatch, chaos_baseline
-    ):
-        """Every other snapshot rots; the fork engine falls back to
-        from-reset execution and the report does not move a byte."""
-        plan = HostFaultPlan(
-            seed=99, axes=("snapshot_corrupt",), snapshot_period=2
+    def test_campaign_survives_snapshot_rot(self, monkeypatch):
+        """Every snapshot rots — the lane leader's nodes and the warm
+        pool's devices alike; restores refuse them, the campaign falls
+        back to from-reset legs and cold builds, and the report does not
+        move a byte."""
+        baseline = render_json(
+            run_campaign(ROT_CONFIG, snapshot=False, batch=False)
         )
-        monkeypatch.setattr(forking, "capture", chaos_capture(plan))
-        assert render_json(run_campaign(CHAOS_CONFIG)) == chaos_baseline
+        # Start cold, so the leader and the pool capture under the rot.
+        monkeypatch.setattr(engine, "_leader_memo", {})
+        monkeypatch.setattr(runner, "_device_pool", {})
+        monkeypatch.setattr(runner, "_recent_keys", {})
+        plan = HostFaultPlan(
+            seed=99, axes=("snapshot_corrupt",), snapshot_period=1
+        )
+        rot = chaos_capture(plan)
+        monkeypatch.setattr(forking, "capture", rot)
+        monkeypatch.setattr(snapshots, "capture", rot)
+        refused = []
+        for owner in (forking, snapshots):
+            def guarded(
+                device, snap, *args, _restore=owner.restore,
+                _name=owner.__name__,
+            ):
+                try:
+                    return _restore(device, snap, *args)
+                except SnapshotIntegrityError:
+                    refused.append(_name)
+                    raise
+
+            monkeypatch.setattr(owner, "restore", guarded)
+        sessions = []
+        real_init = forking.ForkSession.__init__
+
+        def counting_init(session, *args):
+            sessions.append(args)
+            real_init(session, *args)
+
+        monkeypatch.setattr(forking.ForkSession, "__init__", counting_init)
+        assert render_json(run_campaign(ROT_CONFIG)) == baseline
+        assert sessions, "no lane group formed"
+        # Both capture sites rotted a snapshot that a restore then met.
+        assert set(refused) == {"repro.campaign.forking", "repro.snapshot"}
 
     def test_chaos_capture_passthrough_when_disabled(self):
         plan = HostFaultPlan(seed=1, axes=())
