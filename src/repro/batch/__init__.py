@@ -9,11 +9,9 @@ into its own replay from the latest leader node before its injection
 schedule first fires, and lets every lane whose schedule never fires
 *clone* the leader's observation.
 
-The contract is the one every prior tier honoured: campaign reports are
-byte-identical with batching on (``run_campaign(batch=True)``, the CLI's
-``--batch``, the default) and off (``batch=False``, ``--no-batch``,
-where every run executes from reset), pinned by the lane-vs-from-reset
-differential suite in ``tests/test_batch.py`` and by the campaign
-golden.  Batching is an execution-only switch — it never enters the
-config, the journal, or the report.
+It serves the ``"lanes"`` execution path only (the table in
+``docs/PERF.md`` lists the paths).  The contract is the one every prior
+tier honoured: campaign reports are byte-identical on every path,
+pinned by the lane-vs-from-reset differential suite in
+``tests/test_batch.py`` and by the campaign golden.
 """

@@ -34,7 +34,7 @@ its schedules, so it runs **once per key per worker process**
 (``_leader_memo``, at most ``_LEADER_MEMO_SIZE`` entries, least recently
 used evicted first).  The key (``_leader_key``) is the adapter object,
 the config fields the leg reads, the plan's mode, distance and duty, and
-the ``REPRO_NO_BLOCKCACHE``/``REPRO_FORCE_DEOPT`` switches.  The
+the dispatch mode (``repro.mcu.device.dispatch_mode``).  The
 borrowed seed is not in it: an entry is kept only while its RNG hub
 stays untouched, which makes the seed inert.  Never kept: a leader that
 tripped the wall clock, hit a foreign stop, or drew randomness; an entry
@@ -54,7 +54,7 @@ from repro.campaign.forking import (
     continuous_observation,
 )
 from repro.campaign.runner import Run, note_lane_stats, run_record
-from repro.mcu.device import _blockcache_disabled, _deopt_forced
+from repro.mcu.device import dispatch_mode
 from repro.sim.rng import derive_seed
 from repro.testing import time_limit
 
@@ -142,8 +142,8 @@ def _leader_key(config, adapter, plan: FaultPlan) -> tuple:
     # Everything the leader's trajectory and observation depend on
     # besides the borrowed seed, which is proven inert before a leader
     # is kept: the adapter object (two adapters may share a name), the
-    # config and environment, and the execution switches a device reads
-    # when it is built.
+    # config and environment, and the dispatch mode a device reads when
+    # it is built.
     return (
         adapter,
         config.app,
@@ -155,8 +155,7 @@ def _leader_key(config, adapter, plan: FaultPlan) -> tuple:
         plan.mode,
         plan.distance_m,
         plan.duty,
-        _blockcache_disabled(),
-        _deopt_forced(),
+        dispatch_mode(),
     )
 
 

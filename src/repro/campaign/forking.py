@@ -1,9 +1,9 @@
 """Snapshot/fork execution: share campaign work instead of re-simulating.
 
-Two snapshot-powered mechanisms, both strictly optional (the
-``--no-snapshot`` flag routes everything through the original
-from-reset code) and both bound by the campaign engine's byte-identical
-report contract:
+:func:`execute_chunk` is the one chunk executor of every execution path
+(``"reset"``, ``"warm"``, ``"lanes"``; the table in ``docs/PERF.md``
+says what each serves).  Two snapshot-powered mechanisms sit behind
+it, both bound by the campaign engine's byte-identical report contract:
 
 - **Memoized control leg** (:func:`continuous_observation`).  The
   continuous-power leg runs tethered from flash to finish, so it never
@@ -19,12 +19,12 @@ report contract:
   fires (:mod:`repro.batch.engine`).  :func:`execute_chunk` sends a
   sampled group to the engine when its runs share a deterministic
   environment (zero fading, equal distance and duty, no bit flips) and
-  an adapter and differ only in their injection schedule.  Every other
-  run — singletons, fuzz genotypes, ``batch=False``, and the members
-  of a group the engine gives up — runs both legs from reset on a warm
-  pooled device (:func:`repro.campaign.runner.build_leg`), which is
-  cheap enough that sharing schedule prefixes between them does not
-  pay.
+  an adapter and differ only in their injection schedule, and only on
+  the ``"lanes"`` path.  Every other run — singletons, fuzz genotypes,
+  and the members of a group the engine gives up — runs both legs from
+  reset, on a warm pooled device unless the path is ``"reset"``
+  (:func:`repro.campaign.runner.build_leg`), which is cheap enough that
+  sharing schedule prefixes between them does not pay.
 
 Why the reports stay byte-identical: a node restores the *entire*
 simulated world (memory, CPU, peripherals, capacitor voltage, clock,
@@ -64,6 +64,7 @@ from repro.campaign.runner import (
     run_continuous_leg,
 )
 from repro.campaign.watchdog import RunWatchdog
+from repro.mcu.device import dispatch_mode
 from repro.power.supply import PowerState
 from repro.runtime.executor import RunStatus
 from repro.snapshot import DirtyTracker, capture, restore
@@ -105,10 +106,12 @@ def _restore_program_state(program, state: dict) -> None:
 
 
 # -- the memoized continuous control leg ------------------------------------
-#: ``_continuous_key(config)`` -> adapter -> observation.  The adapter
-#: is part of the identity: two adapters may share an app name yet
-#: observe different things, and two stimuli drive different programs.
-_continuous_memo: dict[tuple, dict[object, Observation]] = {}
+#: ``_continuous_key(config)`` -> ``(adapter, dispatch mode)`` ->
+#: observation.  The adapter is part of the identity: two adapters may
+#: share an app name yet observe different things, and two stimuli
+#: drive different programs.  So is the dispatch mode, so a leg run
+#: under one mode never serves a campaign that asked for another.
+_continuous_memo: dict[tuple, dict[tuple, Observation]] = {}
 
 
 def _continuous_key(config: CampaignConfig) -> tuple:
@@ -150,7 +153,8 @@ def continuous_observation(
     """
     if hasattr(adapter, "prepare"):
         return run_continuous_leg(config, adapter, leg_seed, snapshot=True)
-    hit = _continuous_memo.get(_continuous_key(config), {}).get(adapter)
+    inner = (adapter, dispatch_mode())
+    hit = _continuous_memo.get(_continuous_key(config), {}).get(inner)
     if hit is not None:
         return hit
     observation, untouched = _run_continuous(
@@ -158,7 +162,7 @@ def continuous_observation(
     )
     if untouched and _memoizable(observation):
         _continuous_memo.setdefault(_continuous_key(config), {})[
-            adapter
+            inner
         ] = observation
     return observation
 
@@ -453,24 +457,23 @@ def _group_key(run: Run):
 
 
 def execute_chunk(
-    config: CampaignConfig, work: list, batch: bool = True
+    config: CampaignConfig, work: list, path: str = "lanes"
 ) -> list[dict]:
-    """Execute a chunk of runs, sharing fault-free prefixes where it pays.
+    """Execute a chunk of runs along execution path ``path``.
 
-    The snapshot-mode worker entry point; ``work`` holds run indices,
+    The worker entry point of every path; ``work`` holds run indices,
     or genotype jobs in fuzz mode (see
-    :func:`repro.campaign.runner.planned_runs`).  With ``batch`` on,
+    :func:`repro.campaign.runner.planned_runs`).  Under ``"lanes"``,
     two or more runs sharing a group key (:func:`_group_key`) execute
-    through the lane engine (:mod:`repro.batch.engine`); every other
+    through the lane engine (:mod:`repro.batch.engine`).  Every other
     run, and every run of a group the engine gives up, runs from reset
-    on a warm device under supervision, so the records are
-    byte-identical either way.  ``batch`` is an execution-only switch
-    like ``snapshot`` — it never enters the config or the report.
+    under supervision: on a warm device unless ``path`` is
+    ``"reset"``.  The records are byte-identical on every path.
     """
     runs = planned_runs(config, work)
     groups: dict[object, list[Run]] = {}
     for run in runs:
-        key = _group_key(run) if batch else None
+        key = _group_key(run) if path == "lanes" else None
         groups.setdefault(
             ("solo", run.index) if key is None else key, []
         ).append(run)
@@ -484,5 +487,7 @@ def execute_chunk(
                 records.update(batched)
                 continue
         for run in members:
-            records[run.index] = execute_safe(config, run, snapshot=True)
+            records[run.index] = execute_safe(
+                config, run, snapshot=path != "reset"
+            )
     return [records[run.index] for run in runs]

@@ -25,13 +25,13 @@ This module turns the same machinery into feedback-driven search:
   the sampling campaign's driver, worker and shrink pass
   (:func:`~repro.campaign.scheduler.drive_campaign`): crash isolation,
   journaling and resume; every genotype's legs run from reset (on warm
-  devices when snapshots are on), genotypes that share a stimulus share
+  devices off the ``"reset"`` path), genotypes that share a stimulus share
   one memoized control leg, and diverging survivors shrink through the
   same ddmin pass.
 
 Everything here honours the engine's byte-identity contract: for a
-fixed config the report is identical across worker counts, snapshot
-on/off, block cache on/off, and journal resume.
+fixed config the report is identical across worker counts, execution
+paths, dispatch modes, and journal resume.
 """
 
 from __future__ import annotations
@@ -410,7 +410,7 @@ def run_fuzz_campaign(
     journal_path: str | None = None,
     resume_from: str | None = None,
     fail_fast: bool = False,
-    snapshot: bool = True,
+    path: str = "lanes",
     corpus_path: str | None = None,
     journal_fsync: bool = False,
     stats: dict | None = None,
@@ -429,9 +429,10 @@ def run_fuzz_campaign(
     the final corpus when the campaign completes.  Journal/resume work
     exactly as in :func:`~repro.campaign.scheduler.run_campaign`: jobs
     are regenerated deterministically, so only missing indices execute.
-    Fuzz runs never enter the lane engine (see
-    :func:`~repro.campaign.forking.execute_chunk`), so there is no
-    ``batch`` switch here.
+    ``path`` is the execution path ``run_campaign`` picked; fuzz runs
+    never form lane groups (see
+    :func:`~repro.campaign.forking.execute_chunk`), so ``"lanes"`` runs
+    them as ``"warm"`` does.
     """
     from repro.campaign.scheduler import drive_campaign  # deferred: no cycle
 
@@ -476,7 +477,7 @@ def run_fuzz_campaign(
         config, schedule,
         adapter_of=lambda record: _bind(adapter, record["fuzz"]["stimulus"]),
         progress=progress, journal_path=journal_path,
-        resume_from=resume_from, fail_fast=fail_fast, snapshot=snapshot,
+        resume_from=resume_from, fail_fast=fail_fast, path=path,
         journal_fsync=journal_fsync, stats=stats,
     )
     report["coverage"] = _coverage_stanza(jobs, ordered, corpus)

@@ -12,12 +12,13 @@ order, in any process, with identical results.
 Under ``snapshot=True`` a from-reset leg may get a *warm* device
 instead of building one: each process keeps a few built devices, keyed
 on what builds them (target kind, harvesting environment, dispatch
-switches), each with a snapshot taken right after it was built.  A
+mode), each with a snapshot taken right after it was built.  A
 warm leg restores that snapshot and the device's hook wiring, reseeds
 the RNG hub with the leg seed, then builds the program and flashes as
 a cold leg does — so the device it runs on is indistinguishable from a
 new one, except that translated blocks of an unchanged image survive
-the re-flash.  ``snapshot=False`` never uses the pool.
+the re-flash.  ``snapshot=False`` never uses the pool; the table in
+``docs/PERF.md`` says which execution path passes which.
 
 Seeding discipline: the run's seed is
 ``derive_seed(config.seed, "run", index)``; everything inside the run
@@ -52,7 +53,7 @@ from repro.campaign.faults import (
 from repro.campaign.oracle import Observation, Verdict, compare
 from repro.campaign.watchdog import RunWatchdog
 from repro.mcu.coverage import CoverageRecorder
-from repro.mcu.device import _blockcache_disabled, _deopt_forced
+from repro.mcu.device import dispatch_mode
 from repro.power.harvester import RFHarvester
 from repro.runtime.executor import IntermittentExecutor, RunResult
 from repro.sim.kernel import BudgetExceeded, Simulator
@@ -238,15 +239,15 @@ _recent_keys: dict[tuple, None] = {}
 
 def _device_key(plan: FaultPlan | None, bench: bool) -> tuple:
     # Everything the build reads besides the seed, which is reseeded:
-    # the target kind, the harvesting environment, and the execution
-    # switches a device reads when it is built.
+    # the target kind, the harvesting environment, and the dispatch
+    # mode a device reads when it is built.
     if bench:
         shape: tuple = ("bench",)
     elif plan is None:
         shape = ("tethered",)
     else:
         shape = ("harvested", plan.distance_m, plan.fading_sigma, plan.duty)
-    return (*shape, _blockcache_disabled(), _deopt_forced())
+    return (*shape, dispatch_mode())
 
 
 def _pooled_device(leg_seed: int, plan: FaultPlan | None, bench: bool) -> tuple:
@@ -429,11 +430,10 @@ def execute_legs(config: CampaignConfig, run: Run, *, snapshot: bool) -> dict:
     :func:`execute_safe` is the supervised wrapper that classifies them
     into the error taxonomy.
 
-    ``snapshot`` is an execution-only switch (never part of the config,
-    so it never appears in reports): it reuses the memoized continuous
-    control leg (see :mod:`repro.campaign.forking`), which is verified
-    bit-identical to running the leg from reset, and runs both legs on
-    warm devices (see :func:`build_leg`).
+    ``snapshot`` reuses the memoized continuous control leg (see
+    :mod:`repro.campaign.forking`), which is verified bit-identical to
+    running the leg from reset, and runs both legs on warm devices (see
+    :func:`build_leg`).
     """
     adapter = run.adapter
     if hasattr(adapter, "prepare"):

@@ -56,8 +56,6 @@ from repro.campaign.oracle import DIVERGED, ERROR, Observation
 from repro.campaign.report import build_report
 from repro.campaign.runner import (
     capture_divergence,
-    execute_safe,
-    planned_runs,
     run_continuous_leg,
     tier_stats_delta,
     tier_stats_snapshot,
@@ -72,42 +70,28 @@ _MAX_BACKOFF_DOUBLINGS = 6
 
 
 def _chunk_worker(
-    config_dict: dict, work: list, snapshot: bool = False,
-    batch: bool = True,
+    config_dict: dict, work: list, path: str = "lanes"
 ) -> tuple[list[dict], dict]:
     """Worker entry point: execute a chunk of runs (picklable, module-level).
 
     ``work`` holds the chunk's run indices, or its genotype jobs in fuzz
-    mode.  Uses the *supervised* runner, so a failing run yields a
-    structured error record instead of poisoning its whole chunk; the
+    mode; :func:`repro.campaign.forking.execute_chunk` runs them along
+    execution path ``path`` under supervision, so a failing run yields
+    a structured error record instead of poisoning its whole chunk; the
     only way a chunk can fail as a unit is the worker process itself
-    dying.
-
-    ``snapshot`` routes the chunk through
-    :func:`repro.campaign.forking.execute_chunk`, which runs legs on
-    warm devices and memoizes the control leg, producing byte-identical
-    records either way; ``batch`` additionally routes fork-eligible
-    groups through the lane engine (:mod:`repro.batch.engine`).
-    Both are execution-only parameters — never part of the config dict,
-    so reports and journals are unaffected by them.
+    dying.  ``path`` is execution-only — never part of the config dict,
+    so reports and journals are unaffected by it.
 
     Returns ``(records, tier_delta)``: the chunk's records plus the
     tier/lane counter delta this execution accumulated, so a pool
     supervisor can aggregate diagnostics across worker processes
     without the counters ever entering the report.
     """
+    from repro.campaign.forking import execute_chunk  # deferred: cold start
+
     config = CampaignConfig.from_dict(config_dict)
     before = tier_stats_snapshot()
-    if snapshot:
-        from repro.campaign.forking import execute_chunk
-
-        chunk_records = execute_chunk(config, work, batch=batch)
-    else:
-        chunk_records = [
-            execute_safe(config, run, snapshot=False)
-            for run in planned_runs(config, work)
-        ]
-    return chunk_records, tier_stats_delta(before)
+    return execute_chunk(config, work, path), tier_stats_delta(before)
 
 
 def _chunk_indices(indices: list[int], config: CampaignConfig) -> list[list[int]]:
@@ -163,8 +147,7 @@ class _Supervisor:
     progress: Callable[[int, int], None] | None = None
     journal: JournalWriter | None = None
     fail_fast: bool = False
-    snapshot: bool = False
-    batch: bool = True
+    path: str = "lanes"
     jobs: dict[int, dict] | None = None
     #: Optional sink for aggregated tier/lane counters.  Pool workers
     #: return their counter deltas alongside their records; only those
@@ -263,7 +246,7 @@ class _Supervisor:
             try:
                 future = self._pool.submit(
                     _chunk_worker, self._config_dict, self._work_for(chunk),
-                    self.snapshot, self.batch,
+                    self.path,
                 )
             except Exception:
                 fresh.appendleft(chunk)
@@ -311,7 +294,7 @@ class _Supervisor:
         try:
             future = self._pool.submit(
                 _chunk_worker, self._config_dict, self._work_for(chunk),
-                self.snapshot, self.batch,
+                self.path,
             )
             self._collect(future.result(), remote=True)
         except KeyboardInterrupt:
@@ -357,7 +340,7 @@ class _Supervisor:
             chunk = fresh.popleft()
             self._collect(
                 _chunk_worker(self._config_dict, self._work_for(chunk),
-                              self.snapshot, self.batch)
+                              self.path)
             )
 
 
@@ -365,7 +348,7 @@ class _Supervisor:
 def _shrink_pass(
     config: CampaignConfig,
     records: list[dict],
-    snapshot: bool,
+    path: str,
     adapter_of: Callable[[dict], object],
 ) -> None:
     """Minimize the first ``shrink_limit`` diverging runs in place.
@@ -378,11 +361,12 @@ def _shrink_pass(
     candidates unshrunk, and replays that raise are treated as "does
     not reproduce" (see :func:`repro.campaign.shrinker.shrink_schedule`).
 
-    With ``snapshot`` on, the control leg is the memoized one and each
-    ddmin probe's bench replay runs from reset on a warm device.
+    Off the ``"reset"`` path, the control leg is the memoized one and
+    each ddmin probe's bench replay runs from reset on a warm device.
     """
     from repro.campaign.forking import continuous_observation
 
+    warm = path != "reset"
     diverging = [
         r for r in records if r["verdict"]["verdict"] == DIVERGED
     ][: config.shrink_limit]
@@ -391,7 +375,7 @@ def _shrink_pass(
         adapter = adapter_of(record)
         if adapter not in controls:
             control_leg = (
-                continuous_observation if snapshot else run_continuous_leg
+                continuous_observation if warm else run_continuous_leg
             )
             try:
                 controls[adapter] = control_leg(
@@ -409,7 +393,7 @@ def _shrink_pass(
 
         def still_fails(candidate: list[int]) -> bool:
             return verdict_for_schedule(
-                config, adapter, continuous, candidate, snapshot=snapshot
+                config, adapter, continuous, candidate, snapshot=warm
             ).diverged
 
         minimal = shrink_schedule(record["observed_schedule"], still_fails)
@@ -459,18 +443,13 @@ def run_campaign(
     storage.  ``fail_fast`` stops scheduling new work after the first
     diverged or errored record.
 
-    ``snapshot`` (default on) enables the snapshot execution paths —
-    warm pooled devices for from-reset legs (ddmin replays included)
-    and memoized continuous legs (:mod:`repro.campaign.forking`).
-    It is execution-only: the records, the journal format, and the
-    report are byte-identical with it on or off, which is why it is a
-    keyword here rather than a :class:`CampaignConfig` field.
-
-    ``batch`` (default on) additionally routes fork-eligible groups
-    through the lane engine (:mod:`repro.batch`), the one fork path;
-    with it off every run executes from reset.  It is gated the same
-    way (execution-only, byte-identical on/off) and is inert when
-    ``snapshot`` is off.
+    ``snapshot`` and ``batch`` (both default on) pick the execution
+    path once: ``"reset"`` without ``snapshot``, else ``"lanes"`` with
+    ``batch`` and ``"warm"`` without (the table in ``docs/PERF.md``
+    says what each serves).  The path is execution-only: the records,
+    the journal format, and the report are byte-identical on every
+    path, which is why these are keywords here rather than
+    :class:`CampaignConfig` fields.
 
     ``stats`` (optional) is a plain dict the campaign folds its
     aggregated tier/lane execution counters into — both this process's
@@ -490,7 +469,8 @@ def run_campaign(
     """
     options = dict(
         progress=progress, journal_path=journal_path,
-        resume_from=resume_from, fail_fast=fail_fast, snapshot=snapshot,
+        resume_from=resume_from, fail_fast=fail_fast,
+        path=("lanes" if batch else "warm") if snapshot else "reset",
         journal_fsync=journal_fsync, stats=stats,
     )
     if config.mode == "fuzz":
@@ -505,8 +485,7 @@ def run_campaign(
         run_round(list(range(config.runs)))
 
     report, _ = drive_campaign(
-        config, schedule, adapter_of=lambda record: adapter, batch=batch,
-        **options,
+        config, schedule, adapter_of=lambda record: adapter, **options
     )
     return report
 
@@ -520,8 +499,7 @@ def drive_campaign(
     journal_path: str | None = None,
     resume_from: str | None = None,
     fail_fast: bool = False,
-    snapshot: bool = True,
-    batch: bool = True,
+    path: str = "lanes",
     journal_fsync: bool = False,
     stats: dict | None = None,
 ) -> tuple[dict, list[dict]]:
@@ -538,7 +516,8 @@ def drive_campaign(
     (``adapter_of`` maps a record to its adapter) and capture passes
     on a complete campaign, folds the execution counters into
     ``stats``, and marks an interrupted or stopped campaign partial.
-    The remaining keywords are :func:`run_campaign`'s.
+    ``path`` is the execution path :func:`run_campaign` picked; the
+    remaining keywords are its own.
     """
     if journal_path is not None and resume_from is not None:
         raise ValueError("journal_path and resume_from are mutually exclusive")
@@ -562,8 +541,7 @@ def drive_campaign(
         if missing:
             supervisor = _Supervisor(
                 config, records, progress=progress, journal=journal,
-                fail_fast=fail_fast, snapshot=snapshot, batch=batch,
-                jobs=jobs, stats=stats,
+                fail_fast=fail_fast, path=path, jobs=jobs, stats=stats,
             )
             supervisor.run(_chunk_indices(missing, config))
             stopped = stopped or supervisor.stop
@@ -593,7 +571,7 @@ def drive_campaign(
     complete = not interrupted and len(ordered) == config.runs
     if complete:
         if config.shrink:
-            _shrink_pass(config, ordered, snapshot, adapter_of)
+            _shrink_pass(config, ordered, path, adapter_of)
         if config.capture:
             _capture_pass(config, ordered)
     if stats is not None:

@@ -46,26 +46,22 @@ class ExecutionLimit(Exception):
     """The executor's simulated-time deadline expired mid-execution."""
 
 
-def _blockcache_disabled() -> bool:
-    """True when ``REPRO_NO_BLOCKCACHE=1`` (or any non-zero value) is set.
+def dispatch_mode() -> str:
+    """How a device built now dispatches instructions; see ``docs/PERF.md``.
 
-    One switch disables both halves of the PR-5 speedup — the CPU's
-    block translation cache and the device's fast spend window — so a
-    bisection can rule the whole mechanism in or out at once.
+    ``"block"`` (the default) runs translated blocks on the spend
+    window.  ``REPRO_NO_BLOCKCACHE=1`` (any value but ``0``) selects
+    ``"step"``: no block translation and no spend window, the
+    single-step reference path.  ``REPRO_FORCE_DEOPT=1`` selects
+    ``"deopt"``: blocks are translated but every guard refuses them, so
+    dispatch single-steps with warm caches.  With both set the mode is
+    ``"step"``.  This is the one reader of the two variables.
     """
-    return os.environ.get("REPRO_NO_BLOCKCACHE", "") not in ("", "0")
-
-
-def _deopt_forced() -> bool:
-    """True when ``REPRO_FORCE_DEOPT=1`` (or any non-zero value) is set.
-
-    Makes :meth:`TargetDevice.block_guard` refuse every block, so
-    dispatch single-steps everywhere while the translation caches
-    stay warm — the forced-deopt leg of the bit-identity contract, and
-    the cheapest way to prove a suspect behaviour is (or is not) a
-    guard/dispatch artifact.
-    """
-    return os.environ.get("REPRO_FORCE_DEOPT", "") not in ("", "0")
+    if os.environ.get("REPRO_NO_BLOCKCACHE", "") not in ("", "0"):
+        return "step"
+    if os.environ.get("REPRO_FORCE_DEOPT", "") not in ("", "0"):
+        return "deopt"
+    return "block"
 
 
 class _SpendWindow:
@@ -203,19 +199,19 @@ class TargetDevice:
         self.reboot_count = 0
         self.energy_consumed = 0.0
         self._stop_after: float | None = None  # executor deadline (sim time)
-        # Fast spend window (see execute_cycles).  None when the block
-        # cache and spend batching are disabled via REPRO_NO_BLOCKCACHE.
-        self._fast_spend_enabled = not _blockcache_disabled()
+        # The dispatch mode (see dispatch_mode), fixed at build time.
+        # "step" builds no spend window (see execute_cycles) and no
+        # blocks; "deopt" refuses every block guard.
+        self.dispatch = dispatch_mode()
+        self._windowed = self.dispatch != "step"
+        self._refuse_blocks = self.dispatch == "deopt"
         self._spend_window: _SpendWindow | None = None
         # Fast-path refusals by cause (SLOW_SPEND_CAUSES).  Execution
         # only: snapshots neither capture nor restore it, and no report
         # or transcript shows it.
         self.slow_spends = dict.fromkeys(SLOW_SPEND_CAUSES, 0)
-        self.cpu.block_cache_enabled = self._fast_spend_enabled
+        self.cpu.block_cache_enabled = self._windowed
         self.cpu.block_guard = self.block_guard
-        # REPRO_FORCE_DEOPT=1 pins this True: every block guard refuses
-        # and dispatch single-steps with warm caches.
-        self.force_deopt = _deopt_forced()
         # Observers of power-failure resets (fault injectors re-arm
         # their per-boot schedules here; recorders log boot boundaries).
         self.on_reboot: list[Callable[[int], None]] = []
@@ -507,7 +503,7 @@ class TargetDevice:
         (an imminent event, low energy) does not mean the constants
         changed.
         """
-        if not self._fast_spend_enabled:
+        if not self._windowed:
             return
         fw = self._spend_window
         if fw is not None and self._spend_window_live(fw):
@@ -634,7 +630,7 @@ class TargetDevice:
         the guard only keeps deoptimization at observation points
         honest and cheap.
         """
-        if self.force_deopt:
+        if self._refuse_blocks:
             return False
         fw = self._spend_window
         if fw is None or not self._spend_window_live(fw):

@@ -27,7 +27,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.mcu.device import _blockcache_disabled, _deopt_forced
+from repro.mcu.device import dispatch_mode
 from repro.perf.harness import BENCHMARKS, run_all
 
 #: Allowed slowdown versus the reference before --check fails.
@@ -125,8 +125,7 @@ def _host_stanza() -> dict:
         "cpu_count": os.cpu_count(),
         "git_revision": _git("rev-parse", "HEAD") or "unknown",
         "git_dirty": None if status is None else bool(status),
-        "block_cache": not _blockcache_disabled(),
-        "force_deopt": _deopt_forced(),
+        "dispatch": dispatch_mode(),
     }
 
 

@@ -550,7 +550,7 @@ def test_tainted_entry_is_dropped_and_its_group_falls_back(leader_runs):
     tainted = execute_chunk(config, indices)
     assert tier_stats_delta(before)["lanes_packed"] == 0  # fell back
     assert not engine._leader_memo
-    assert tainted == execute_chunk(config, indices, batch=False)
+    assert tainted == execute_chunk(config, indices, path="warm")
     assert len(leader_runs) == 1
 
 

@@ -21,7 +21,6 @@ stays equal.
 from __future__ import annotations
 
 import math
-import os
 import random
 
 import pytest
@@ -41,6 +40,7 @@ from repro.campaign.faults import ScheduledBrownouts
 from repro.campaign.report import render_json
 from repro.campaign.scheduler import run_campaign
 from repro.mcu.assembler import assemble
+from repro.mcu.device import dispatch_mode
 from repro.power.capacitor import StorageCapacitor, closed_form_step
 from repro.testing import make_bench_target
 
@@ -53,9 +53,8 @@ MODES = ("block", "step")
 # environment — that is the point of the suite — but the non-vacuity
 # assertions ("the tier under test really engaged") only hold when the
 # environment has not disabled that tier.
-_BLOCKCACHE_ON = os.environ.get("REPRO_NO_BLOCKCACHE", "") in ("", "0")
-_DEOPT_FORCED = os.environ.get("REPRO_FORCE_DEOPT", "") not in ("", "0")
-_BLOCKS_ENGAGE = _BLOCKCACHE_ON and not _DEOPT_FORCED
+_BLOCKCACHE_ON = dispatch_mode() != "step"
+_BLOCKS_ENGAGE = dispatch_mode() == "block"
 
 needs_guards = pytest.mark.skipif(
     not _BLOCKS_ENGAGE,
@@ -430,15 +429,18 @@ def test_block_guard_event_one_cycle_inside_span():
     assert device.block_guard(cycles - 4)
 
 
-def test_forced_deopt_differential():
-    """force_deopt defeats every guard yet changes no observable bit."""
+def test_forced_deopt_differential(monkeypatch):
+    """Deopt dispatch defeats every guard yet changes no observable bit."""
     source = _random_branchy(random.Random(9), iterations=2500)
 
     def run(force):
+        if force:
+            monkeypatch.setenv("REPRO_FORCE_DEOPT", "1")
+        else:
+            monkeypatch.delenv("REPRO_FORCE_DEOPT", raising=False)
         sim = Simulator(seed=66)
         power = make_wisp_power_system(sim, distance_m=2.0, fading_sigma=1.0)
         device = TargetDevice(sim, power)
-        device.force_deopt = force
         executor = IntermittentExecutor(
             sim, device, IsaApp(device, assemble(source))
         )
@@ -510,12 +512,17 @@ def test_sampler_ticks_run_inside_blocks_differential():
 
 
 def test_force_deopt_env(monkeypatch):
-    """REPRO_FORCE_DEOPT=1 arms force_deopt at construction."""
+    """REPRO_FORCE_DEOPT=1 selects deopt dispatch at construction."""
+    monkeypatch.delenv("REPRO_NO_BLOCKCACHE", raising=False)
     monkeypatch.setenv("REPRO_FORCE_DEOPT", "1")
     sim = Simulator(seed=1)
     device = make_bench_target(sim)
-    assert device.force_deopt
+    assert device.dispatch == "deopt"
+    assert device.cpu.block_cache_enabled
     assert not device.block_guard(1)
+    # With both switches set the single-step reference path wins.
+    monkeypatch.setenv("REPRO_NO_BLOCKCACHE", "1")
+    assert dispatch_mode() == "step"
 
 
 # -- campaign-level dispatch identity ---------------------------------------

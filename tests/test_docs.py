@@ -1,15 +1,18 @@
-"""The documented commands still parse.
+"""The documented commands and switches still exist.
 
 Every fenced ``sh`` block in README.md, EXPERIMENTS.md, DESIGN.md and
 ``docs/*.md`` is read line by line.  A ``python -m repro...`` line must
 parse through that CLI's own argument parser (nothing runs), and a
 ``pytest`` line must name test paths that exist and markers that
 ``pyproject.toml`` registers.  Other commands (``pip``, ``cat``) are
-not checked.
+not checked.  Every ``REPRO_*`` environment switch the same documents
+name, anywhere in their text, must be one that
+``repro.mcu.device.dispatch_mode`` reads.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -18,6 +21,7 @@ import pytest
 
 from repro.campaign import cli as campaign_cli
 from repro.debug import server as debug_server
+from repro.mcu.device import dispatch_mode
 from repro.perf import __main__ as perf_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +40,10 @@ _VALUED = {"-m", "-k", "-p"}
 
 _FENCE = re.compile(r"^```sh\n(.*?)^```", re.S | re.M)
 _ENV = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=\S*$")
+_SWITCH = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]")
+
+#: The environment switches the code reads: those its one reader names.
+SWITCHES = set(_SWITCH.findall(inspect.getsource(dispatch_mode)))
 
 
 def _commands(text: str) -> list[str]:
@@ -115,6 +123,12 @@ def test_documented_commands_parse(path, pytestconfig):
         _check(argv, markers)
 
 
+@pytest.mark.parametrize("path", DOCS, ids=lambda path: path.name)
+def test_documented_switches_are_read(path):
+    stale = set(_SWITCH.findall(path.read_text())) - SWITCHES
+    assert not stale, f"no code reads {sorted(stale)}"
+
+
 def test_docs_document_checkable_commands():
     """The scan is not vacuous: it finds each kind of command."""
     checked = [argv for path in DOCS for argv in _argvs(path)
@@ -128,6 +142,8 @@ def test_a_broken_command_is_caught(pytestconfig):
     """The checks reject what a stale doc line would say."""
     markers = _markers(pytestconfig)
     assert "blockcache" in markers
+    assert SWITCHES == {"REPRO_NO_BLOCKCACHE", "REPRO_FORCE_DEOPT"}
+    assert _SWITCH.findall("run with REPRO_NO_BATCH=1") == ["REPRO_NO_BATCH"]
     with pytest.raises(pytest.fail.Exception):
         _check(["python", "-m", "repro.campaign", "--benchmark-only"], markers)
     with pytest.raises(AssertionError):

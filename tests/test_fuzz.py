@@ -331,6 +331,37 @@ class TestSharedEngine:
         control = forking.continuous_observation(self.CONFIG, first, 1)
         assert forking.continuous_observation(self.CONFIG, again, 2) is control
 
+    def test_a_memoised_control_leg_serves_only_its_dispatch_mode(
+        self, monkeypatch
+    ):
+        """A control leg simulated under one dispatch mode serves no other.
+
+        Each mode simulates its own leg once and then serves it from the
+        memo, so a campaign under a kill switch really runs its control
+        legs under that switch.
+        """
+        adapter = get_adapter(self.CONFIG.app)
+        simulated = []
+        real = forking._run_continuous
+        monkeypatch.setattr(
+            forking, "_run_continuous",
+            lambda *args, **kwargs: simulated.append(variant)
+            or real(*args, **kwargs),
+        )
+        for variant, switch in (
+            ("block", None), ("step", "REPRO_NO_BLOCKCACHE"),
+            ("deopt", "REPRO_FORCE_DEOPT"),
+        ):
+            monkeypatch.delenv("REPRO_NO_BLOCKCACHE", raising=False)
+            monkeypatch.delenv("REPRO_FORCE_DEOPT", raising=False)
+            if switch is not None:
+                monkeypatch.setenv(switch, "1")
+            control = forking.continuous_observation(self.CONFIG, adapter, 1)
+            assert forking.continuous_observation(
+                self.CONFIG, adapter, 2
+            ) is control
+        assert simulated == ["block", "step", "deopt"]
+
     def test_forked_group_matches_from_reset_records(self):
         """A same-stimulus group's chunk records match from-reset legs."""
         jobs = [

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,7 +33,12 @@ from repro.debug.server import handle_line
 from repro.debug.service import DebugService
 from repro.mcu.assembler import assemble
 from repro.mcu.cpu import Cpu, Halted
-from repro.mcu.device import ExecutionLimit, PowerFailure, TargetDevice
+from repro.mcu.device import (
+    ExecutionLimit,
+    PowerFailure,
+    TargetDevice,
+    dispatch_mode,
+)
 from repro.mcu.memory import (
     FRAM_BASE,
     MemoryFault,
@@ -336,16 +342,18 @@ def _play_traffic(s: dict, fast: bool) -> tuple[dict, TargetDevice]:
     """Drive a debugger-attached device through ``s``.
 
     Returns what the run observed and the device.  ``fast=False``
-    switches the device's spend window off, so every spend takes the
-    one-call-at-a-time reference path.
+    builds the device in step dispatch, which has no spend window, so
+    every spend takes the one-call-at-a-time reference path.
     """
     sim = Simulator(seed=s["seed"])
     power = make_wisp_power_system(
         sim, distance_m=s["distance"], fading_sigma=s["fading"]
     )
     power.capacitor.leakage_resistance = s["cap_leak"]
-    device = TargetDevice(sim, power)
-    device._fast_spend_enabled = fast
+    with mock.patch.dict(
+        os.environ, {"REPRO_NO_BLOCKCACHE": "0" if fast else "1"}
+    ):
+        device = TargetDevice(sim, power)
     device.i2c.attach(0x1D, _Registers())
     edb = EDB(sim, device, sample_rate=s["rate"])
     edb.trace("energy")
@@ -404,7 +412,7 @@ def _play_traffic(s: dict, fast: bool) -> tuple[dict, TargetDevice]:
 #: The spend-count assertions need the fast spend path, which
 #: ``REPRO_NO_BLOCKCACHE=1`` switches off.
 needs_spend_window = pytest.mark.skipif(
-    os.environ.get("REPRO_NO_BLOCKCACHE", "") not in ("", "0"),
+    dispatch_mode() == "step",
     reason="spend window disabled by REPRO_NO_BLOCKCACHE",
 )
 

@@ -8,8 +8,13 @@ These are the "for any schedule" guarantees the design rests on:
 - the task runtime conserves its invariants across failures injected
   at arbitrary points;
 - the protocol decoder survives arbitrary corruption;
-- intermittent progress counters never move backwards.
+- intermittent progress counters never move backwards;
+- a campaign's report bytes do not depend on any execution option.
 """
+
+import dataclasses
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +22,8 @@ from hypothesis import strategies as st
 
 from repro import Simulator, TargetDevice, make_wisp_power_system
 from repro.analog.charge_circuit import ChargeDischargeCircuit
+from repro.campaign.config import FAULT_MODES, CampaignConfig
+from repro.campaign.scheduler import run_campaign
 from repro.core.protocol import Decoder, Message, encode
 from repro.mcu.adc import Adc
 from repro.mcu.device import PowerFailure
@@ -32,6 +39,7 @@ from repro.runtime.nonvolatile import SafeNVLinkedList
 from repro.runtime.tasks import Task, TaskRuntime
 from repro.sim import units
 from repro.testing import BrownoutInjector
+from tests.test_fuzz import _canonical
 
 
 def _charged_device(seed=1, voltage=2.2):
@@ -318,3 +326,85 @@ class TestAdcAccuracy:
         measured = adc.measure(voltage)
         # Quantisation (half an LSB) + 5 sigma of noise.
         assert abs(measured - voltage) < adc.lsb_volts / 2 + 5 * 0.5e-3
+
+
+# -- the execution-option matrix ---------------------------------------------
+#: The environment each dispatch mode is selected by (see
+#: ``repro.mcu.device.dispatch_mode``).
+_DISPATCH_ENV = {
+    "step": {"REPRO_NO_BLOCKCACHE": "1", "REPRO_FORCE_DEOPT": "0"},
+    "block": {"REPRO_NO_BLOCKCACHE": "0", "REPRO_FORCE_DEOPT": "0"},
+    "deopt": {"REPRO_NO_BLOCKCACHE": "0", "REPRO_FORCE_DEOPT": "1"},
+}
+
+#: ``run_campaign`` keywords per execution path.
+_PATH_KW = {
+    "reset": {"snapshot": False, "batch": False},
+    "warm": {"snapshot": True, "batch": False},
+    "lanes": {"snapshot": True, "batch": True},
+}
+
+
+@st.composite
+def _campaign_configs(draw):
+    # Not ``chaos``: its os._exit would kill an in-process run.
+    app = draw(st.sampled_from(
+        ("counter", "fibonacci", "linked_list", "rfid_firmware")
+    ))
+    fuzz = draw(st.booleans())
+    if draw(st.booleans()):
+        # A fixed environment, where same-mode runs form lane groups.
+        distance = draw(st.sampled_from((1.6, 2.0)))
+        environment = dict(
+            distance_range=(distance, distance), fading_range=(0.0, 0.0),
+            duty_chance=0.0,
+        )
+    else:
+        environment = {}
+    return CampaignConfig(
+        app=app,
+        runs=draw(st.integers(4, 8)),
+        seed=draw(st.integers(0, 2**16)),
+        # Chunks of 4 hold enough same-mode runs to form lane groups.
+        chunk=draw(st.sampled_from((0, 4))),
+        iterations=60 if app == "rfid_firmware" else draw(st.integers(4, 12)),
+        duration=1.0,
+        modes=tuple(draw(st.lists(
+            st.sampled_from(FAULT_MODES), min_size=1, unique=True
+        ))),
+        max_ops=draw(st.sampled_from((60, 200))),
+        corrupt_checkpoints=draw(st.booleans()),
+        capture=not fuzz and draw(st.booleans()),
+        shrink=draw(st.booleans()),
+        shrink_limit=1,
+        mode="fuzz" if fuzz else "sample",
+        fuzz_rounds=2,
+        **environment,
+    )
+
+
+class TestExecutionMatrix:
+    """No execution option moves a report byte.
+
+    Each drawn campaign runs in all 18 cells of execution path x
+    dispatch mode x worker count, and every cell must render the bytes
+    of the reference cell (from reset, single-stepped, one worker).
+    """
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(config=_campaign_configs())
+    def test_every_cell_renders_the_reference_bytes(self, config):
+        reference = None
+        for dispatch, env in _DISPATCH_ENV.items():
+            for path, kw in _PATH_KW.items():
+                for workers in (1, 2):
+                    cell = dataclasses.replace(config, workers=workers)
+                    with mock.patch.dict(os.environ, env):
+                        rendered = _canonical(run_campaign(cell, **kw))
+                    if reference is None:
+                        reference = rendered
+                    assert rendered == reference, (dispatch, path, workers)

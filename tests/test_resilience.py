@@ -652,11 +652,34 @@ class TestChaosGolden:
         survivor then torn — still reproduces the pinned golden report
         byte for byte, both live and on resume."""
         golden = GOLDEN_PATH.read_text()
-        plan = plan_host_faults(
-            GOLDEN_CONFIG.seed,
-            axes=("journal_tear", "journal_enospc", "snapshot_corrupt"),
+        # Every capture rots, so the first restore of one is refused.
+        plan = dataclasses.replace(
+            plan_host_faults(
+                GOLDEN_CONFIG.seed,
+                axes=("journal_tear", "journal_enospc", "snapshot_corrupt"),
+            ),
+            snapshot_period=1,
         )
-        monkeypatch.setattr(forking, "capture", chaos_capture(plan))
+        # Start cold, so the pool and the lane leader capture under the
+        # rot; the warm pool is where the golden campaign captures.
+        monkeypatch.setattr(engine, "_leader_memo", {})
+        monkeypatch.setattr(forking, "_continuous_memo", {})
+        monkeypatch.setattr(runner, "_device_pool", {})
+        monkeypatch.setattr(runner, "_recent_keys", {})
+        rot = chaos_capture(plan)
+        monkeypatch.setattr(forking, "capture", rot)
+        monkeypatch.setattr(snapshots, "capture", rot)
+        refused = []
+        real_restore = snapshots.restore
+
+        def guarded(device, snap, *args):
+            try:
+                return real_restore(device, snap, *args)
+            except SnapshotIntegrityError:
+                refused.append(snap)
+                raise
+
+        monkeypatch.setattr(snapshots, "restore", guarded)
         path = tmp_path / "golden_chaos.jsonl"
         # The golden campaign journals 5 lines (header + 4 auto-sized
         # chunks); fold the plan's draw into that window so the
@@ -676,3 +699,4 @@ class TestChaosGolden:
         tear_journal(path, plan.journal_tear_frac)
         resumed = run_campaign(GOLDEN_CONFIG, resume_from=str(path))
         assert render_json(resumed) == golden
+        assert refused, "no rotted snapshot reached a restore"

@@ -110,11 +110,14 @@ def test_identical_store_into_the_running_block_keeps_it_running():
     assert cpu.registers[4] == 1
 
 
-def test_restore_to_a_node_with_different_code_runs_no_stale_thunks():
+def test_restore_to_a_node_with_different_code_runs_no_stale_thunks(
+    monkeypatch,
+):
+    # Block dispatch whatever dispatch mode the suite runs under.
+    monkeypatch.delenv("REPRO_NO_BLOCKCACHE", raising=False)
+    monkeypatch.delenv("REPRO_FORCE_DEOPT", raising=False)
     sim = Simulator(seed=5)
     target = make_bench_target(sim)
-    target.cpu.block_cache_enabled = True
-    target.force_deopt = False
     first = assemble("start: mov #1, r4\n add #3, r4\n halt")
     second = assemble("start: mov #2, r4\n add #5, r4\n halt")
 
@@ -218,11 +221,11 @@ def test_a_switched_device_never_serves_an_unswitched_leg(pool, monkeypatch, swi
     monkeypatch.setenv(switch, "1")
     _build()
     switched = _build()[1]
-    assert switched.force_deopt or not switched.cpu.block_cache_enabled
+    assert switched.dispatch != "block"
     monkeypatch.delenv(switch)
     plain = _build()[1]
     assert plain is not switched
-    assert not plain.force_deopt and plain.cpu.block_cache_enabled
+    assert plain.dispatch == "block"
     monkeypatch.setenv(switch, "1")
     assert _build()[1] is switched
 
