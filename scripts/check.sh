@@ -1,15 +1,12 @@
 #!/bin/sh
 # Repository check: the tier-1 test suite, the smoke and differential
-# re-runs, the examples, the paper reproduction, the benchmark's own
-# tests, plus the quick perf gate.  CI runs this script and nothing else.
+# re-runs, the examples, the paper reproduction and the benchmark's own
+# tests.  CI runs this script and nothing else.
 #
 # Tier-1 (must stay green):     PYTHONPATH=src python -m pytest -x -q
-# Tier-1-adjacent (perf gate):  python -m repro.perf --check --quick
 #
-# The perf gate compares against benchmarks/perf_baseline.json with the
-# relaxed --quick tolerance; it catches order-of-magnitude cliffs, not
-# small regressions — use `python -m repro.perf --check --repeats 3`
-# for a real measurement (see docs/PERF.md).
+# Speed is measured by perfbench alone (BENCHMARK.json): alternating
+# parent/change pairs of `python3 perfbench/run.py` (see docs/PERF.md).
 set -e
 cd "$(dirname "$0")/.."
 
@@ -49,6 +46,3 @@ git diff --exit-code -- benchmarks/out
 
 echo "== benchmark self-tests: perfbench =="
 python3 -m pytest perfbench -q
-
-echo "== tier-1-adjacent: perf gate =="
-python -m repro.perf --check --quick --out /tmp/BENCH_perf_check.json

@@ -11,6 +11,7 @@ picklable, JSON-serializable value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 #: The fault-placement strategies a run can draw (see ``faults.py``).
@@ -128,8 +129,11 @@ class CampaignConfig:
             raise ValueError(f"workers must be >= 1 (got {self.workers})")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1 (got {self.iterations})")
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be positive (got {self.duration})")
+        # Chained comparisons with NaN are false, so NaN fails these too.
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(
+                f"duration must be positive and finite (got {self.duration})"
+            )
         if not self.modes:
             raise ValueError("at least one fault mode is required")
         unknown = set(self.modes) - set(FAULT_MODES)
@@ -154,15 +158,24 @@ class CampaignConfig:
             raise ValueError(f"bad fading range {self.fading_range}")
         if not 0.0 <= self.duty_chance <= 1.0:
             raise ValueError(f"duty chance out of [0, 1]: {self.duty_chance}")
+        if self.shrink_limit < 0:
+            raise ValueError(
+                f"shrink_limit must be >= 0 (got {self.shrink_limit})"
+            )
+        if self.chunk < 0:
+            raise ValueError(f"chunk must be >= 0 (got {self.chunk})")
         if self.max_cycles < 0:
             raise ValueError(f"max_cycles must be >= 0 (got {self.max_cycles})")
-        if self.max_wall_s < 0.0:
-            raise ValueError(f"max_wall_s must be >= 0 (got {self.max_wall_s})")
+        if not 0.0 <= self.max_wall_s < math.inf:
+            raise ValueError(
+                f"max_wall_s must be finite and >= 0 (got {self.max_wall_s})"
+            )
         if self.max_retries < 1:
             raise ValueError(f"max_retries must be >= 1 (got {self.max_retries})")
-        if self.retry_backoff < 0.0:
+        if not 0.0 <= self.retry_backoff < math.inf:
             raise ValueError(
-                f"retry_backoff must be >= 0 (got {self.retry_backoff})"
+                f"retry_backoff must be finite and >= 0 "
+                f"(got {self.retry_backoff})"
             )
         if self.mode not in ("sample", "fuzz"):
             raise ValueError(

@@ -65,10 +65,12 @@ from repro.testing import make_bench_target, make_fast_target, time_limit
 
 
 #: Process-local tallies of which execution tier served the legs this
-#: process simulated: block translation and lane batching.  Diagnostic
-#: plumbing only — the snapshot never enters a campaign report (reports
-#: are byte-pinned for identical seeds); worker processes keep their own
-#: tallies and hand them back as :func:`tier_stats_delta` results.
+#: process simulated: block translation and lane batching
+#: (``batch_spans`` counts leader boundaries checked against live lanes,
+#: see :func:`note_lane_stats`).  Diagnostic plumbing only — the
+#: snapshot never enters a campaign report (reports are byte-pinned for
+#: identical seeds); worker processes keep their own tallies and hand
+#: them back as :func:`tier_stats_delta` results.
 _TIER_STATS = {
     "blocks_translated": 0,
     "blocks_executed": 0,
@@ -102,7 +104,8 @@ def note_lane_stats(
 
     ``packed`` counts lanes that entered the lane engine, ``peeled`` the
     subset peeled back into the scalar path mid-run, and ``spans`` the
-    lock-step boundary-to-boundary segments the batch survived.
+    leader's boundaries checked against live lanes (every pause until
+    the last lane peeled).
     ``mid_boot`` counts the peels served from a mid-boot node and
     ``skipped`` the boot units those nodes spared them.
     """

@@ -33,7 +33,7 @@ from repro.campaign import (
     shrink_schedule,
     verdict_for_schedule,
 )
-from repro.campaign.cli import main as campaign_main
+from repro.campaign.cli import EXIT_USAGE, main as campaign_main
 from repro.campaign.faults import StateCorruptor
 from repro.mcu.memory import FRAM_BASE, SRAM_BASE
 from repro.runtime.executor import IntermittentExecutor, RunStatus
@@ -68,6 +68,22 @@ class TestConfig:
             CampaignConfig(max_cycles=-1)
         with pytest.raises(ValueError):
             CampaignConfig(max_retries=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration", float("nan")),
+        ("duration", float("inf")),
+        ("duration", 0.0),
+        ("max_wall_s", float("nan")),
+        ("max_wall_s", float("inf")),
+        ("retry_backoff", float("nan")),
+        ("retry_backoff", float("inf")),
+        ("retry_backoff", -0.1),
+        ("shrink_limit", -1),
+        ("chunk", -5),
+    ])
+    def test_rejects_values_that_corrupt_a_campaign(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CampaignConfig(**{field: value})
 
 
 class _OpCounter:
@@ -360,6 +376,14 @@ class TestCli:
         code = campaign_main(["--modes", "telepathy", "--quiet"])
         assert code == 2
         assert "unknown fault modes" in capsys.readouterr().err
+
+    def test_cli_rejects_nan_duration(self, tmp_path, capsys):
+        code = campaign_main([
+            "--duration", "nan", "--quiet",
+            "--out", str(tmp_path / "report.json"),
+        ])
+        assert code == EXIT_USAGE
+        assert "duration" in capsys.readouterr().err
 
 
 @pytest.mark.campaign_smoke

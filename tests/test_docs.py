@@ -1,13 +1,14 @@
 """The documented commands and switches still exist.
 
 Every fenced ``sh`` block in README.md, EXPERIMENTS.md, DESIGN.md and
-``docs/*.md`` is read line by line.  A ``python -m repro...`` line must
-parse through that CLI's own argument parser (nothing runs), and a
-``pytest`` line must name test paths that exist and markers that
-``pyproject.toml`` registers.  Other commands (``pip``, ``cat``) are
-not checked.  Every ``REPRO_*`` environment switch the same documents
-name, anywhere in their text, must be one that
-``repro.mcu.device.dispatch_mode`` reads.
+``docs/*.md`` is read line by line.  A ``python -m repro...`` (or
+``python3 -m``) line must parse through that CLI's own argument parser
+(nothing runs), and a ``pytest`` line must name test paths that exist
+and markers that ``pyproject.toml`` registers.  Other commands (``pip``,
+``cat``) are not checked.  Anywhere in the same documents' text (prose,
+inline code, list items), every ``python -m repro.<module>`` named must
+be a CLI this file knows, and every ``REPRO_*`` environment switch must
+be one that ``repro.mcu.device.dispatch_mode`` reads.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import pytest
 from repro.campaign import cli as campaign_cli
 from repro.debug import server as debug_server
 from repro.mcu.device import dispatch_mode
-from repro.perf import __main__ as perf_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "DESIGN.md",
@@ -32,7 +32,6 @@ DOCS = [ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "DESIGN.md",
 PARSERS = {
     "repro.campaign": campaign_cli.build_parser,
     "repro.debug.server": debug_server.build_parser,
-    "repro.perf": perf_cli.build_parser,
 }
 
 #: pytest options the docs use that take a value (not a path).
@@ -41,6 +40,7 @@ _VALUED = {"-m", "-k", "-p"}
 _FENCE = re.compile(r"^```sh\n(.*?)^```", re.S | re.M)
 _ENV = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=\S*$")
 _SWITCH = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]")
+_MODULE = re.compile(r"\bpython3?\s+-m\s+(repro(?:\.\w+)+)")
 
 #: The environment switches the code reads: those its one reader names.
 SWITCHES = set(_SWITCH.findall(inspect.getsource(dispatch_mode)))
@@ -101,8 +101,15 @@ def _check_pytest(args: list[str], markers: set[str]) -> None:
             assert path.exists(), f"no such test path {arg!r}"
 
 
+def _stale_modules(text: str) -> set[str]:
+    """The ``python -m repro...`` modules ``text`` names that no CLI is."""
+    return set(_MODULE.findall(text)) - set(PARSERS)
+
+
 def _check(argv: list[str], markers: set[str]) -> None:
     """Check one command; commands other than these two kinds pass."""
+    if argv[:1] == ["python3"]:
+        argv = ["python", *argv[1:]]
     if argv[:1] == ["pytest"]:
         _check_pytest(argv[1:], markers)
     elif argv[:3] == ["python", "-m", "pytest"]:
@@ -124,6 +131,12 @@ def test_documented_commands_parse(path, pytestconfig):
 
 
 @pytest.mark.parametrize("path", DOCS, ids=lambda path: path.name)
+def test_documented_modules_exist(path):
+    stale = _stale_modules(path.read_text())
+    assert not stale, f"no CLI module {sorted(stale)}"
+
+
+@pytest.mark.parametrize("path", DOCS, ids=lambda path: path.name)
 def test_documented_switches_are_read(path):
     stale = set(_SWITCH.findall(path.read_text())) - SWITCHES
     assert not stale, f"no code reads {sorted(stale)}"
@@ -132,9 +145,13 @@ def test_documented_switches_are_read(path):
 def test_docs_document_checkable_commands():
     """The scan is not vacuous: it finds each kind of command."""
     checked = [argv for path in DOCS for argv in _argvs(path)
-               if argv[:1] == ["pytest"] or argv[:2] == ["python", "-m"]]
-    modules = {argv[2] for argv in checked if argv[0] == "python"}
-    assert {"repro.campaign", "repro.debug.server", "repro.perf"} <= modules
+               if argv[:1] == ["pytest"]
+               or argv[:2] in (["python", "-m"], ["python3", "-m"])]
+    modules = {argv[2] for argv in checked if argv[0] != "pytest"}
+    assert {"repro.campaign", "repro.debug.server"} <= modules
+    assert {"repro.campaign", "repro.debug.server"} <= {
+        module for path in DOCS for module in _MODULE.findall(path.read_text())
+    }
     assert any(argv[0] == "pytest" and "-m" in argv for argv in checked)
 
 
@@ -152,6 +169,14 @@ def test_a_broken_command_is_caught(pytestconfig):
         _check(["pytest", "tests/no_such_file.py"], markers)
     with pytest.raises(AssertionError):
         _check(["python", "-m", "repro.nowhere"], markers)
+    with pytest.raises(AssertionError):
+        _check(["python3", "-m", "repro.nowhere"], markers)
+    with pytest.raises(pytest.fail.Exception):
+        _check(["python3", "-m", "repro.campaign", "--no-such-flag"], markers)
+    assert _stale_modules(
+        "the old harness (`python -m repro.retired`) and\n"
+        "- `python3 -m\n  repro.nowhere --x` but `python -m repro.campaign`"
+    ) == {"repro.retired", "repro.nowhere"}
 
 
 @pytest.mark.parametrize("module", sorted(PARSERS))

@@ -46,7 +46,6 @@ from repro.mcu.memory import (
     SRAM_SIZE,
     make_msp430_memory_map,
 )
-from repro.perf.harness import run_all
 from repro.power.capacitor import StorageCapacitor
 from repro.power.harvester import NullSource, RFHarvester
 from repro.power.supply import PowerSystem
@@ -541,18 +540,3 @@ def test_campaign_report_is_byte_identical_to_golden():
     """
     report = run_campaign(GOLDEN_CONFIG)
     assert render_json(report) == GOLDEN_PATH.read_text()
-
-
-@pytest.mark.perf_smoke
-def test_perf_harness_smoke():
-    """A scaled-down benchmark run produces well-formed results."""
-    results = run_all(scale=0.02)
-    assert set(results) == {
-        "isa_throughput", "charge_discharge",
-        "campaign", "snapshot_fork", "campaign_opsweep", "fuzz_search",
-    }
-    for result in results.values():
-        payload = result.to_dict()
-        assert payload["value"] > 0
-        assert payload["wall_s"] > 0
-        json.dumps(payload)  # JSON-serialisable

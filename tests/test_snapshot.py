@@ -292,29 +292,6 @@ def test_differential_capture_equals_full_capture():
         assert sim.now <= deadline + 0.6  # sanity: bounded progress
 
 
-@pytest.mark.perf_smoke
-def test_quick_perf_gate_smoke(tmp_path):
-    """``python -m repro.perf --check --quick`` is wired and passes.
-
-    This is the tier-1-adjacent gate ``scripts/check.sh`` runs; the
-    smoke keeps its plumbing (argument parsing, baseline loading, the
-    max(baseline, before) comparison) from rotting.  A tiny scale keeps
-    it fast, and ``--before`` pointing at the committed baseline
-    exercises the best-reference selection path.
-    """
-    from repro.perf.__main__ import main
-
-    exit_code = main([
-        "--check", "--quick", "--scale", "0.05",
-        "--repeats", "2",
-        "--before", "benchmarks/perf_baseline.json",
-        "--out", str(tmp_path / "bench.json"),
-    ])
-    # Exit 1 would mean a >60% cliff at smoke scale — best-of-2 keeps
-    # single-core host noise far below that; 2 means no baseline.
-    assert exit_code == 0
-
-
 def test_golden_report_byte_identical_without_snapshot():
     """The legacy (from-reset) path still reproduces the golden bytes.
 
